@@ -64,10 +64,21 @@ bool ThreadPool::try_pop(std::size_t lane, Chunk& out, bool& stolen) {
 }
 
 void ThreadPool::execute(const Chunk& c) {
-  (*c.fn)(c.index);
+  // An escaping exception would terminate a worker, or unwind the submitter
+  // while other lanes still run chunks that point into its stack frame.
+  std::exception_ptr error;
+  try {
+    (*c.fn)(c.index);
+  } catch (...) {
+    error = std::current_exception();
+  }
   g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
   Batch* b = c.batch;
   MutexLock lock(b->mu);
+  if (error && (!b->error || c.index < b->error_index)) {
+    b->error = error;
+    b->error_index = c.index;
+  }
   if (--b->remaining == 0) b->done.notify_all();
 }
 
@@ -139,11 +150,14 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
     if (stolen) g_stats.steals.fetch_add(1, std::memory_order_relaxed);
     execute(c);
   }
+  std::exception_ptr error;
   {
     MutexLock lock(batch.mu);
     while (batch.remaining != 0) batch.done.wait(lock.native());
+    error = batch.error;
   }
   g_stats.batches.fetch_add(1, std::memory_order_relaxed);
+  if (error) std::rethrow_exception(error);
 }
 
 PoolStats ThreadPool::stats() const {

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -55,6 +56,8 @@ class ThreadPool {
 
   // Run fn(chunk) for every chunk in [0, n_chunks), blocking until all
   // complete. Safe to call from a worker thread (runs inline, serially).
+  // If chunks throw, the batch still drains before the lowest-index chunk's
+  // exception is rethrown here - the one the serial loop would throw.
   void run_chunks(std::size_t n_chunks, const std::function<void(std::size_t)>& fn);
 
   PoolStats stats() const;
@@ -83,6 +86,8 @@ class ThreadPool {
     Mutex mu;
     std::condition_variable done;
     std::size_t remaining EMI_GUARDED_BY(mu) = 0;
+    std::exception_ptr error EMI_GUARDED_BY(mu);  // lowest-index chunk's throw
+    std::size_t error_index EMI_GUARDED_BY(mu) = 0;
   };
   struct Chunk {
     const std::function<void(std::size_t)>* fn;

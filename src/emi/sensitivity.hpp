@@ -29,14 +29,14 @@ struct SensitivityOptions {
   // Optional subset of inductor names to consider (empty = all).
   std::vector<std::string> candidates;
   // Opt-in sweep acceleration: adaptive frequency refinement for the dense
-  // sweeps, plus a rational surrogate (with escalation) for the per-pair
-  // probe sweeps. Defaults off; the legacy dense path then runs bit-
-  // identically to older builds.
+  // sweeps, plus (surrogate, which needs adaptive) the reduced-order
+  // coupling model with escalation for the per-pair probe sweeps. Defaults
+  // off; the legacy dense path then runs bit-identically to older builds.
   emi::sweep::SweepAccel accel{};
 };
 
 // Ranking plus the sweep-economics counters the flow surfaces as profile
-// entries (full solves vs interpolated/surrogate-filled points).
+// entries (full solves vs interpolated/coupling-model-filled points).
 struct SensitivityReport {
   std::vector<CouplingSensitivity> ranking;
   emi::sweep::SweepStats stats;
@@ -49,10 +49,11 @@ std::vector<CouplingSensitivity> rank_coupling_sensitivity(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt = {});
 
-// Same ranking, plus sweep economics. With opt.accel engaged the per-pair
-// sweeps go through the surrogate/adaptive engines (per-pair stats are
-// accumulated in pair-index order, so the report is thread-count
-// invariant); with a default accel this is the dense path plus counters.
+// Same ranking, plus sweep economics. With opt.accel.adaptive on, the
+// per-pair sweeps are adaptive refinements, or with surrogate also on
+// coupling-model evaluations (per-pair stats are accumulated in pair-index
+// order, so the report is thread-count invariant); with adaptive off this is
+// the dense path plus counters.
 SensitivityReport rank_coupling_sensitivity_report(
     ckt::Circuit c, const std::string& meas_node, const TrapezoidSpectrum& source,
     const SensitivityOptions& opt = {});

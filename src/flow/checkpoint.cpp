@@ -1,13 +1,13 @@
 #include "src/flow/checkpoint.hpp"
 
 #include <bit>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "src/core/fault_injection.hpp"
 #include "src/io/atomic_writer.hpp"
+#include "src/io/wire.hpp"
 
 namespace emi::flow {
 
@@ -21,19 +21,11 @@ const char* const kStageNames[kFlowStageCount] = {
     "sensitivity", "initial_prediction", "rule_derivation", "placement",
     "verification"};
 
-// Exact-bits double round trip: 16 hex digits of the IEEE-754 pattern.
-std::string dbits(double v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-  return buf;
-}
+using io::hex64;
+using io::parse_u64;
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+// Exact-bits double round trip: 16 hex digits of the IEEE-754 pattern.
+std::string dbits(double v) { return hex64(std::bit_cast<std::uint64_t>(v)); }
 
 // Status messages are single-line by construction; flatten defensively so a
 // stray newline can never break the line-oriented format.
@@ -95,17 +87,6 @@ class Reader {
   std::vector<std::string> lines_;
   std::size_t i_ = 0;
 };
-
-bool parse_u64(const std::string& s, std::uint64_t& out, int base = 10) {
-  if (s.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(s, &pos, base);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
 
 bool parse_double_bits(const std::string& s, double& out) {
   std::uint64_t bits = 0;
@@ -186,16 +167,18 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
   }
   ss << "sweep " << dbits(opt.sweep.f_min_hz) << ' ' << dbits(opt.sweep.f_max_hz)
      << ' ' << opt.sweep.n_points << '\n';
-  // Sweep acceleration changes computed spectra (interpolated / surrogate-
-  // filled points), so its configuration joins the context - but only when
-  // an engine is enabled, keeping every pre-acceleration checkpoint digest
+  // Sweep acceleration changes computed spectra (interpolated / coupling-
+  // model-filled points), so its configuration joins the context - but only
+  // when it is enabled, keeping every pre-acceleration checkpoint digest
   // (and the default-options digest) byte-identical.
   if (opt.sweep_accel.enabled()) {
+    // "8 4" are the retired max_order / holdout_points defaults of the
+    // deleted barycentric engine, kept so accelerated checkpoints written by
+    // older builds still resume.
     ss << "swp " << (opt.sweep_accel.adaptive ? 1 : 0) << ' '
        << dbits(opt.sweep_accel.tol_db) << ' ' << opt.sweep_accel.coarse_points << ' '
        << (opt.sweep_accel.surrogate ? 1 : 0) << ' ' << dbits(opt.sweep_accel.gate_db)
-       << ' ' << opt.sweep_accel.max_order << ' ' << opt.sweep_accel.holdout_points
-       << '\n';
+       << " 8 4\n";
   }
   ss << "thr " << dbits(opt.sensitivity_threshold_db) << ' ' << dbits(opt.k_threshold)
      << ' ' << dbits(opt.k_min) << ' ' << opt.cispr_class << ' ' << opt.stage_attempts

@@ -40,11 +40,12 @@ struct FlowOptions {
   // Couplings below this are not installed in the circuit.
   double k_min = 1e-4;
   emc::EmissionSweepOptions sweep{};
-  // Sweep acceleration (sweep::SweepAccel): adaptive frequency refinement
-  // for the dense emission sweeps and a rational surrogate (with dense-solve
+  // Sweep acceleration (sweep::SweepAccel): `adaptive` turns on adaptive
+  // frequency refinement for the dense emission sweeps; `surrogate`, which
+  // needs adaptive, adds the reduced-order coupling model (with adaptive
   // escalation) for the per-pair sensitivity sweeps. The default keeps the
   // exact dense path, so flow results stay bit-identical to older builds;
-  // when enabled the options join the checkpoint context digest (like
+  // with adaptive on the options join the checkpoint context digest (like
   // KernelOptions::cluster) and degrade along the deadline ladder (tol_db /
   // gate_db doubled per degradation step). Economics surface as `sweep.*`
   // profile counters.

@@ -110,7 +110,7 @@ bool FlowEngine::unit_sensitivity() {
           }
           sens_opt.candidates = candidates_;
           if (opt_.sweep_accel.enabled()) {
-            // Accelerated path: adaptive baseline + surrogate per-pair
+            // Accelerated path: adaptive baseline + coupling-model per-pair
             // sweeps, tolerances coarsened along the degradation ladder.
             // Stats are re-assigned per attempt so only the attempt that
             // decides the stage is counted.

@@ -1,21 +1,15 @@
 #include "src/io/kvfile.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "src/core/fault_injection.hpp"
 #include "src/io/atomic_writer.hpp"
+#include "src/io/wire.hpp"
 
 namespace emi::io {
 
 namespace {
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string one_line(std::string s) {
   for (char& c : s) {
@@ -27,17 +21,6 @@ std::string one_line(std::string s) {
 core::Status parse_error(std::size_t line_no, const std::string& msg) {
   return core::Status(core::ErrorCode::kParseError, "io.kvfile",
                       "line " + std::to_string(line_no) + ": " + msg);
-}
-
-bool parse_hex16(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(s, &pos, 16);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
 }
 
 }  // namespace
@@ -75,7 +58,7 @@ core::Result<std::vector<KvRecord>> parse_kv(std::string_view magic,
     checksum_hex.pop_back();
   }
   std::uint64_t want = 0;
-  if (!parse_hex16(checksum_hex, want)) {
+  if (checksum_hex.size() != 16 || !parse_u64(checksum_hex, want, 16)) {
     return parse_error(payload_lines + 1, "malformed checksum value");
   }
   const std::string payload = text.substr(0, pos);

@@ -1,5 +1,8 @@
 #include "src/io/wire.hpp"
 
+#include <charconv>
+#include <cstdio>
+
 namespace emi::io {
 
 std::vector<std::string> split_tokens(std::string_view line) {
@@ -23,6 +26,23 @@ std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
     }
   }
   return std::nullopt;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t& out, int base) {
+  // from_chars takes no whitespace, '+' or 0x prefix, and no '-' for an
+  // unsigned type; a short read or overflow is the rest of "strict".
+  std::uint64_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, base);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
+  return true;
 }
 
 core::Status LineFramer::feed(std::string_view bytes) {

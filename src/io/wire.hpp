@@ -7,12 +7,15 @@
 // The protocol itself (src/svc/server.cpp) is space-separated tokens:
 //   SUBMIT design=<path> ...\n
 //   STATUS job=<id>\n
-// split_tokens / kv_value do the token-level parsing. Everything here is
-// pure string manipulation - no sockets, no threads - so the framing and
-// parsing are unit-testable without I/O.
+// split_tokens / kv_value do the token-level parsing; hex64 / parse_u64 are
+// the one rendering and the one strict parse of integer fields shared by
+// every line format (wire replies, job records, kvfiles, checkpoints, CLI
+// flags). Everything here is pure string manipulation - no sockets, no
+// threads - so the framing and parsing are unit-testable without I/O.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,6 +32,15 @@ std::vector<std::string> split_tokens(std::string_view line);
 // token carrying `key`, or nullopt. The value may be empty ("key=").
 std::optional<std::string> kv_value(const std::vector<std::string>& tokens,
                                     std::string_view key);
+
+// 16 lowercase, zero-padded hex digits: checksums, digests, fingerprints
+// and (via std::bit_cast) exact double bit patterns.
+std::string hex64(std::uint64_t v);
+
+// Strict unsigned parse of a whole token: non-empty, digits of `base` only
+// (no sign, whitespace or 0x prefix), overflow rejected. `out` is written
+// only on success.
+bool parse_u64(std::string_view s, std::uint64_t& out, int base = 10);
 
 class LineFramer {
  public:

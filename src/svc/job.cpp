@@ -1,12 +1,9 @@
 #include "src/svc/job.hpp"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/flow/checkpoint.hpp"
+#include "src/io/wire.hpp"
 
 namespace emi::svc {
 
@@ -16,21 +13,8 @@ const char* const kStateNames[] = {"queued",  "running", "done",       "failed",
                                    "cancelled", "stalled", "quarantined"};
 constexpr std::size_t kStateCount = sizeof kStateNames / sizeof kStateNames[0];
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out, int base = 10) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, base);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
+using io::hex64;
+using io::parse_u64;
 
 core::Status field_error(const std::string& key, const std::string& value) {
   return core::Status(core::ErrorCode::kParseError, "svc.job",

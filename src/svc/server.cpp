@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -18,11 +17,8 @@ namespace emi::svc {
 
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
+using io::hex64;
+using io::parse_u64;
 
 std::string err_reply(const core::Status& st) {
   std::string msg = st.message();
@@ -35,16 +31,6 @@ std::string err_reply(const core::Status& st) {
 
 std::string err_reply(core::ErrorCode code, const std::string& msg) {
   return err_reply(core::Status(code, "svc.server", msg));
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 // job=N field shared by STATUS / RESULT / CANCEL.

@@ -1,12 +1,14 @@
 // Sweep acceleration knobs and economics counters shared by the adaptive
 // frequency-refinement engine (sweep/adaptive.hpp) and the reduced-order
-// rational surrogate (sweep/surrogate.hpp).
+// coupling model that sensitivity ranking layers on top of it
+// (sweep/coupling.hpp).
 //
-// Both engines are opt-in: a default SweepAccel leaves every caller on the
-// dense exact path, bit-identical to older builds. The flow forwards one
-// SweepAccel through FlowOptions; it joins the checkpoint context digest
-// (conditionally, like KernelOptions::cluster) because enabling either
-// engine changes computed spectra.
+// Acceleration is opt-in: a default SweepAccel leaves every caller on the
+// dense exact path, bit-identical to older builds. `adaptive` is the switch;
+// `surrogate` only refines what the adaptive path does with the per-pair
+// sensitivity sweeps. The flow forwards one SweepAccel through FlowOptions;
+// it joins the checkpoint context digest (conditionally, like
+// KernelOptions::cluster) because enabling it changes computed spectra.
 #pragma once
 
 #include <algorithm>
@@ -30,15 +32,16 @@ struct SweepAccel {
   double tol_db = 0.3;          // refinement admission tolerance
   std::size_t coarse_points = 9;  // level-0 grid size (clamped to the dense grid)
 
-  // (b) Reduced-order rational surrogate for the per-candidate sweeps of
-  // sensitivity ranking: each probed circuit is solved only at the support
-  // + held-out points, a barycentric rational surrogate (order auto-selected
-  // by the held-out residual) fills the dense grid, and a pair escalates to
-  // a full dense solve only when its self-reported residual exceeds gate_db.
+  // (b) Reduced-order coupling model for the per-pair sweeps of sensitivity
+  // ranking: the baseline MNA system is factored once per frequency of the
+  // adaptive refined grid, every probed pair is an exact rank-2
+  // Sherman-Morrison-Woodbury update of it, the cubic fill completes the
+  // dense grid, and a pair escalates to its own adaptive sweep only when the
+  // fill's held-out residual exceeds gate_db. The model's frequency grid IS
+  // the adaptive refined grid, so surrogate acts only together with
+  // adaptive; on its own it is inert, like tol_db while adaptive is off.
   bool surrogate = false;
   double gate_db = 0.5;         // escalation gate on the held-out residual
-  std::size_t max_order = 8;    // barycentric blend-degree search ceiling
-  std::size_t holdout_points = 4;  // solved points withheld for validation
 
   // Degradation-ladder hook (flow stage retries after deadline expiry):
   // coarser admission/escalation tolerances, same machinery.
@@ -50,7 +53,7 @@ struct SweepAccel {
     return a;
   }
 
-  bool enabled() const { return adaptive || surrogate; }
+  bool enabled() const { return adaptive; }
 };
 
 // Sweep economics, surfaced as `sweep.*` profile counters by the flow and
@@ -59,7 +62,7 @@ struct SweepAccel {
 struct SweepStats {
   std::uint64_t full_solves = 0;     // full-size MNA solves performed
   std::uint64_t interp_points = 0;   // dense points filled by interpolation
-  std::uint64_t surrogate_evals = 0; // dense points filled by the surrogate
+  std::uint64_t surrogate_evals = 0; // dense points filled by the coupling model
   std::uint64_t escalations = 0;     // candidate sweeps escalated to dense
   double max_residual_db = 0.0;      // worst admission / held-out residual seen
 

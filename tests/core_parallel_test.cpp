@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/profile.hpp"
@@ -100,6 +104,29 @@ TEST(ThreadPool, StatsCountBatchesAndChunks) {
   const PoolStats after = ThreadPool::global().stats();
   EXPECT_EQ(after.batches - before.batches, 1u);
   EXPECT_EQ(after.chunks - before.chunks, 10u);
+}
+
+// A throwing chunk (a stopped stage raising its StatusError mid-sweep) must
+// not unwind the submitter while other lanes still run chunks that reference
+// its stack, nor terminate a worker: the batch runs to completion and the
+// lowest-index chunk's exception is rethrown on the submitting thread, as the
+// serial loop would throw it.
+TEST(ThreadPool, ThrowingChunkDrainsTheBatchThenRethrowsLowestIndex) {
+  ThreadPool pool(3);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::atomic<int> ran{0};
+    try {
+      pool.run_chunks(32, [&](std::size_t c) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ran.fetch_add(1);
+        if (c % 7 == 3) throw std::runtime_error("chunk " + std::to_string(c));
+      });
+      ADD_FAILURE() << "run_chunks swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 3");
+    }
+    EXPECT_EQ(ran.load(), 32);
+  }
 }
 
 TEST(ThreadPool, GlobalThreadCountFollowsSetting) {

@@ -15,6 +15,7 @@
 #include "src/flow/checkpoint.hpp"
 #include "src/flow/design_flow.hpp"
 #include "src/io/design_format.hpp"
+#include "src/io/wire.hpp"
 
 namespace emi::flow {
 namespace {
@@ -224,6 +225,24 @@ TEST(FlowCheckpoint, InconsistentStageBitmasksAreRejected) {
   ck.stages_ok = 0x2;  // ok bit for a stage that is not done
   const std::string text = serialize_checkpoint(ck);
   EXPECT_EQ(parse_checkpoint(text).status().code(), core::ErrorCode::kParseError);
+}
+
+// Integer fields parse strictly: a sign is not a digit. A `stats` record
+// carrying -1 under a valid checksum (so only the field parser can object)
+// must be rejected, never stored as 2^64-1.
+TEST(FlowCheckpoint, NegativeStatsCountIsRejected) {
+  const std::string text = serialize_checkpoint(FlowCheckpoint{});
+  std::string payload = text.substr(0, text.rfind("checksum "));
+  const std::size_t stats = payload.find("\nstats 0 ");
+  ASSERT_NE(stats, std::string::npos);
+  payload.replace(stats + 7, 1, "-1");
+  ASSERT_NE(payload.find("\nstats -1 "), std::string::npos);
+  const core::Status st =
+      parse_checkpoint(payload + "checksum " + io::hex64(core::fault::fnv64(payload)) +
+                       "\n")
+          .status();
+  EXPECT_EQ(st.code(), core::ErrorCode::kParseError);
+  EXPECT_NE(st.to_string().find("malformed stats record"), std::string::npos);
 }
 
 // Corruption fuzz: truncations and bit flips at driver-chosen offsets over a

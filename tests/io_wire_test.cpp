@@ -1,6 +1,7 @@
 // Wire framing for the serve protocol: byte streams re-sliced into lines
 // across arbitrary chunk boundaries, CRLF tolerance, the oversized-line
-// guard, and the token/kv parsing the command handler builds on.
+// guard, the token/kv parsing the command handler builds on, and the shared
+// hex64 / strict parse_u64 integer lexing.
 #include "src/io/wire.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,49 @@ TEST(KvValue, FirstMatchWinsAndEmptyValuesAreValues) {
   EXPECT_FALSE(kv_value(t, "points").has_value());
   // A bare `topology` token (no '=') is not a field.
   EXPECT_FALSE(kv_value(split_tokens("STATUS topology"), "topology").has_value());
+}
+
+// One row per token: whether the strict parse accepts it, and the value.
+TEST(ParseU64, StrictWholeTokenRows) {
+  struct Row {
+    std::string_view in;
+    int base;
+    bool ok;
+    std::uint64_t want;
+  };
+  const Row rows[] = {
+      {"0", 10, true, 0},
+      {"42", 10, true, 42},
+      {"007", 10, true, 7},
+      {"18446744073709551615", 10, true, ~0ull},
+      {"18446744073709551616", 10, false, 0},  // overflow
+      {"99999999999999999999999", 10, false, 0},
+      {"", 10, false, 0},
+      {"-1", 10, false, 0},  // no sign: stoull would store 2^64-1
+      {"+1", 10, false, 0},
+      {" 1", 10, false, 0},  // no whitespace
+      {"1 ", 10, false, 0},
+      {"12abc", 10, false, 0},  // whole token only
+      {"1.5", 10, false, 0},
+      {"ff", 10, false, 0},  // digits of the base only
+      {"ffffffffffffffff", 16, true, ~0ull},
+      {"00000000DeadBeef", 16, true, 0xdeadbeefull},
+      {"10000000000000000", 16, false, 0},  // overflow
+      {"0x1f", 16, false, 0},  // no 0x prefix
+      {"-0", 16, false, 0},
+      {"g", 16, false, 0},
+  };
+  for (const Row& r : rows) {
+    std::uint64_t v = 12345;
+    EXPECT_EQ(parse_u64(r.in, v, r.base), r.ok) << "'" << r.in << "' base " << r.base;
+    // Written only on success.
+    EXPECT_EQ(v, r.ok ? r.want : 12345u) << "'" << r.in << "' base " << r.base;
+  }
+  // hex64 renders what base-16 parse_u64 reads back.
+  EXPECT_EQ(hex64(0xabcdefull), "0000000000abcdef");
+  std::uint64_t back = 0;
+  EXPECT_TRUE(parse_u64(hex64(~0ull), back, 16));
+  EXPECT_EQ(back, ~0ull);
 }
 
 TEST(LineFramer, ReassemblesAcrossChunkBoundaries) {

@@ -87,7 +87,8 @@ TEST(SweepFlow, DefaultRunKeepsSweepCountersZero) {
 
 // A default-constructed SweepAccel is the disabled state: assigning it must
 // not move a single result bit, and the checkpoint context digest must stay
-// exactly the digest of a build that never had the field.
+// exactly the digest of a build that never had the field. `surrogate` alone
+// is disabled too: the coupling model needs the adaptive refined grid.
 TEST(SweepFlow, DisabledAccelIsBitIdenticalAndKeepsTheDigest) {
   BuckConverter bc1 = make_buck_converter();
   FlowOptions base;
@@ -104,6 +105,14 @@ TEST(SweepFlow, DisabledAccelIsBitIdenticalAndKeepsTheDigest) {
   BuckConverter bcd = make_buck_converter();
   EXPECT_EQ(flow_context_digest(bcd, layout_unfavorable(bcd), base),
             flow_context_digest(bcd, layout_unfavorable(bcd), with_field));
+
+  BuckConverter bc3 = make_buck_converter();
+  FlowOptions surrogate_only = base;
+  surrogate_only.sweep_accel.surrogate = true;
+  const FlowResult sres = run_design_flow(bc3, layout_unfavorable(bc3), surrogate_only);
+  EXPECT_EQ(fingerprint(bc1, ref), fingerprint(bc3, sres));
+  EXPECT_EQ(result_fingerprint(ref), result_fingerprint(sres));
+  EXPECT_EQ(sres.profile.count("sweep.full_solves"), 0u);
 }
 
 TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
@@ -126,17 +135,26 @@ TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   wider.sweep_accel.coarse_points = 33;
   EXPECT_NE(d1, flow_context_digest(bc, layout, wider));
 
-  FlowOptions surrogate = base;
-  surrogate.sweep_accel.surrogate = true;
-  const std::uint64_t d2 = flow_context_digest(bc, layout, surrogate);
+  // surrogate needs adaptive: alone it is the exact path, default digest.
+  FlowOptions surrogate_only = base;
+  surrogate_only.sweep_accel.surrogate = true;
+  EXPECT_EQ(d0, flow_context_digest(bc, layout, surrogate_only));
+
+  FlowOptions both = adaptive;
+  both.sweep_accel.surrogate = true;
+  const std::uint64_t d2 = flow_context_digest(bc, layout, both);
   EXPECT_NE(d0, d2);
   EXPECT_NE(d1, d2);
-  FlowOptions gated = surrogate;
+  FlowOptions gated = both;
   gated.sweep_accel.gate_db = 1.0;
   EXPECT_NE(d2, flow_context_digest(bc, layout, gated));
-  FlowOptions ordered = surrogate;
-  ordered.sweep_accel.max_order = 4;
-  EXPECT_NE(d2, flow_context_digest(bc, layout, ordered));
+
+  // Accelerated checkpoints written by older builds must keep resuming. The
+  // digest hashes only option text and double bit patterns, so it is
+  // platform-stable; the literal is what builds that still had the
+  // barycentric engine computed for `emiplace flow buck --points 60
+  // --adaptive`.
+  EXPECT_EQ(flow_context_digest(bc, layout, accel_options(60)), 0x661ba66f1d3d7b21ull);
 }
 
 // The headline acceptance on the buck golden: the accelerated flow performs

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot sweep-acceleration gate: builds the default tree and runs the
 # `sweep` ctest label (adaptive-refinement fuzz, coupling-model battery,
-# rational-surrogate battery, flow-level 10x/1dB acceptance, digest and
-# resume coupling, thread invariance), then the accelerated benchmarks so
+# flow-level 10x/1dB acceptance, digest and resume coupling, thread
+# invariance), then the accelerated benchmarks so
 # the solve-count counters land in the console log.
 #
 #   tools/check_sweep.sh [build-dir]           default build dir: build

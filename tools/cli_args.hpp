@@ -9,9 +9,7 @@
 // message naming the offending token.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <string>
@@ -19,20 +17,9 @@
 #include <vector>
 
 #include "src/core/status.hpp"
+#include "src/io/wire.hpp"
 
 namespace emi::cli {
-
-// Strict unsigned parse of a whole token. std::stoul would happily accept
-// "12abc" or wrap negatives.
-inline bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
 
 class FlagSet {
  public:
@@ -112,7 +99,7 @@ class FlagSet {
         case Kind::kSize:
         case Kind::kMs: {
           std::uint64_t v = 0;
-          if (!parse_u64(val, v) || v < flag->min_v || v > flag->max_v) {
+          if (!io::parse_u64(val, v) || v < flag->min_v || v > flag->max_v) {
             return err("invalid " + flag->name + " value: " + val);
           }
           if (flag->kind == Kind::kU64) *flag->out_u64 = v;

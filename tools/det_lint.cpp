@@ -30,6 +30,7 @@
 #include <regex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint_common.hpp"
@@ -72,6 +73,15 @@ const PointerOrder kPointerOrder[] = {
     {R"(reinterpret_cast\s*<\s*(?:std::)?u?intptr_t)", "uintptr_cast"},
 };
 
+// Compiling a std::regex costs far more than matching one line with it, so
+// the fixed tables are compiled once per process (same order as the table).
+template <typename Table>
+std::vector<std::regex> compile_patterns(const Table& table) {
+  std::vector<std::regex> out;
+  for (const auto& entry : table) out.emplace_back(entry.pattern);
+  return out;
+}
+
 // Identifiers declared with an unordered container type anywhere in the
 // file (members, locals, parameters; declarations may span lines).
 std::set<std::string> unordered_names(const std::string& text) {
@@ -102,6 +112,16 @@ void scan_file(const fs::path& file, const std::string& rel,
     }
   }
 
+  static const std::vector<std::regex> banned = compile_patterns(kBanned);
+  static const std::vector<std::regex> pointer_order =
+      compile_patterns(kPointerOrder);
+  // The per-name range-for patterns, once per file.
+  std::vector<std::pair<std::string, std::regex>> walks;
+  for (const std::string& name : unordered) {
+    walks.emplace_back(name,
+                       std::regex(R"(for\s*\([^;)]*:\s*[^)]*\b)" + name + R"(\b)"));
+  }
+
   std::size_t line_no = 1;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -109,22 +129,21 @@ void scan_file(const fs::path& file, const std::string& rel,
     if (end == std::string::npos) end = text.size();
     const std::string line = text.substr(start, end - start);
 
-    for (const BannedCall& b : kBanned) {
-      if (std::regex_search(line, std::regex(b.pattern))) {
-        out.push_back({rel, line_no, b.token, b.why});
+    for (std::size_t i = 0; i < banned.size(); ++i) {
+      if (std::regex_search(line, banned[i])) {
+        out.push_back({rel, line_no, kBanned[i].token, kBanned[i].why});
       }
     }
-    for (const PointerOrder& p : kPointerOrder) {
-      if (std::regex_search(line, std::regex(p.pattern))) {
-        out.push_back({rel, line_no, p.token,
+    for (std::size_t i = 0; i < pointer_order.size(); ++i) {
+      if (std::regex_search(line, pointer_order[i])) {
+        out.push_back({rel, line_no, kPointerOrder[i].token,
                        "pointer values order by allocation address"});
       }
     }
     // Range-for or iterator walk over an unordered container declared in
     // this file: hash order may feed accumulation / output order.
-    for (const std::string& name : unordered) {
-      const bool range_for = std::regex_search(
-          line, std::regex(R"(for\s*\([^;)]*:\s*[^)]*\b)" + name + R"(\b)"));
+    for (const auto& [name, range_for_re] : walks) {
+      const bool range_for = std::regex_search(line, range_for_re);
       const bool iter_walk =
           line.find(name + ".begin()") != std::string::npos ||
           line.find(name + ".cbegin()") != std::string::npos;

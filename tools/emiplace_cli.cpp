@@ -57,6 +57,7 @@
 #include "src/io/design_format.hpp"
 #include "src/io/reports.hpp"
 #include "src/io/svg.hpp"
+#include "src/io/wire.hpp"
 #include "src/peec/sampled_path.hpp"
 #include "src/place/compactor.hpp"
 #include "src/place/drc.hpp"
@@ -79,7 +80,7 @@ using namespace emi;
 
 bool parse_board(const std::string& s, int& out) {
   std::uint64_t v = 0;
-  if (!cli::parse_u64(s.c_str(), v) || v > 4095) return false;
+  if (!io::parse_u64(s, v) || v > 4095) return false;
   out = static_cast<int>(v);
   return true;
 }
@@ -485,7 +486,7 @@ bool reply_u64_token(const std::string& reply, const std::string& key,
       const std::size_t val = pos + needle.size();
       std::size_t end = val;
       while (end < reply.size() && reply[end] != ' ') ++end;
-      return cli::parse_u64(reply.substr(val, end - val).c_str(), out);
+      return io::parse_u64(std::string_view(reply).substr(val, end - val), out);
     }
     pos += needle.size();
   }
