@@ -140,7 +140,7 @@ void BM_ServeOverload(benchmark::State& state) {
             sheds.fetch_add(1, std::memory_order_relaxed);
             if (++retries > 1000) break;
             // Ride the service's own load estimate, like `submit --retry`.
-            const std::uint64_t hint = svc.health().retry_after_ms;
+            const std::int64_t hint = svc.health().retry_after_ms;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(hint > 0 ? hint : 1));
             id = svc.submit(spec_for(s));

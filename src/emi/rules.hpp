@@ -4,7 +4,9 @@
 // alpha is the angle between the two magnetic axes (section 4 / Fig 10).
 #pragma once
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/units.hpp"
@@ -36,10 +38,22 @@ struct RuleDeriverOptions {
 
 class RuleDeriver {
  public:
+  using ModelPair =
+      std::pair<const peec::ComponentFieldModel*, const peec::ComponentFieldModel*>;
+
   RuleDeriver(const peec::CouplingExtractor& extractor, RuleDeriverOptions opt = {})
       : extractor_(&extractor), opt_(opt) {}
 
-  // PEMD for one component pair (worst case: parallel axes).
+  // The rule table for a list of component pairs (worst case: parallel
+  // axes): one rule per distinct unordered name pair, in first-occurrence
+  // order, named in the pair's own order. Pairs with the same ordered
+  // model-digest pair share one PEMD search (the result is a function of
+  // geometry alone), and the unique searches run in one parallel_for, each
+  // into its own slot, so the table is bit-identical at any lane count.
+  // Throws std::invalid_argument for a null model.
+  std::vector<MinDistanceRule> derive_pairs(std::span<const ModelPair> pairs) const;
+
+  // PEMD for one component pair.
   MinDistanceRule derive(const peec::ComponentFieldModel& a,
                          const peec::ComponentFieldModel& b) const;
 

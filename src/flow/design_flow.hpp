@@ -60,7 +60,7 @@ struct FlowOptions {
   // Geometry prescreen: before field-simulating the sensitivity-selected
   // pairs, rank them by placed-geometry |k| (one batched
   // emc::rank_geometric_coupling extraction on the *initial* layout) and
-  // drop pairs below k_min. Saves the per-pair rule bisections for pairs the
+  // drop pairs below k_min. Saves the per-pair rule searches for pairs the
   // layout already decouples; dropped pairs count into field_solves_saved.
   bool geometric_prescreen = false;
   // Coupling-aware placement: add `w_coupling * sum |k(candidate, placed)|`

@@ -242,27 +242,32 @@ bool FlowEngine::unit_rule_derivation() {
   if (ck_.done(FlowStage::kRuleDerivation)) {
     rules_ok_ = ck_.ok(FlowStage::kRuleDerivation);
   } else {
+    std::vector<emc::RuleDeriver::ModelPair> todo;
+    for (const auto& [la, lb] : res_.simulated_pairs) {
+      const peec::ComponentFieldModel* ma = bc_.model_for_inductor(la);
+      const peec::ComponentFieldModel* mb = bc_.model_for_inductor(lb);
+      if (ma != nullptr && mb != nullptr) todo.emplace_back(ma, mb);
+    }
+    // This stage's own extractions: the extractors' miss counters, unlike
+    // the process-wide kernel stats, exclude concurrent jobs' work.
+    const auto rule_misses = [&] {
+      return extractor_.cache_stats().mutual_misses +
+             coarse_extractor_.cache_stats().mutual_misses;
+    };
+    const std::uint64_t misses0 = rule_misses();
     std::vector<emc::MinDistanceRule> derived;
     const detail::StageOutcome so = driver_.run(
         "flow.rule_derivation", [&](int, int degrade) {
           core::ScopedTimer t(res_.profile, "flow.rule_derivation_s");
-          derived.clear();
-          // Degraded retry: coarser quadrature and a coarser bisection
+          // Degraded retry: coarser quadrature and a coarser search
           // tolerance - rules stay conservative, just less finely resolved.
           const emc::RuleDeriver deriver(
               pick_extractor(degrade),
               {opt_.k_threshold, emc::Millimeters{2.0}, emc::Millimeters{200.0},
                emc::Millimeters{degrade > 0 ? 1.0 : 0.25}});
-          std::set<std::pair<std::string, std::string>> done;
-          for (const auto& [la, lb] : res_.simulated_pairs) {
-            const peec::ComponentFieldModel* ma = bc_.model_for_inductor(la);
-            const peec::ComponentFieldModel* mb = bc_.model_for_inductor(lb);
-            if (ma == nullptr || mb == nullptr) continue;
-            auto key = std::minmax(ma->name, mb->name);
-            if (!done.insert(key).second) continue;
-            derived.push_back(deriver.derive(*ma, *mb));
-          }
+          derived = deriver.derive_pairs(todo);
         });
+    res_.profile.add_count("rules.extractions", rule_misses() - misses0);
     if (so == detail::StageOutcome::kCancelled) {
       halt_pipeline();
       return false;

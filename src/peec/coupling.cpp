@@ -8,6 +8,7 @@
 #include "src/core/fault_injection.hpp"
 #include "src/core/parallel.hpp"
 #include "src/peec/cluster_tree.hpp"
+#include "src/peec/pemd_search.hpp"
 
 namespace emi::peec {
 
@@ -414,26 +415,11 @@ std::vector<CouplingExtractor::AnglePoint> CouplingExtractor::coupling_vs_angle(
 Millimeters CouplingExtractor::min_distance_for_coupling(
     const ComponentFieldModel& a, const ComponentFieldModel& b, double k_threshold,
     Millimeters d_lo, Millimeters d_hi, Millimeters tol) const {
-  if (k_threshold <= 0.0) throw std::invalid_argument("min_distance: threshold <= 0");
-  if (d_hi <= d_lo) throw std::invalid_argument("min_distance: bad bracket");
-  const auto k_at = [&](Millimeters d) {
-    return std::fabs(coupling_at(a, b, d, 0.0, 0.0));
-  };
-  if (k_at(d_lo) <= k_threshold) return d_lo;
-  if (k_at(d_hi) > k_threshold) return d_hi;
-  Millimeters lo = d_lo, hi = d_hi;
-  while (hi - lo > tol) {
-    // Bisections chain many extractions serially; bail out between steps
-    // once the stage is stopped (the returned bracket edge is discarded).
-    if (!core::CancelScope::poll()) return hi;
-    const Millimeters mid = 0.5 * (lo + hi);
-    if (k_at(mid) > k_threshold) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
+  // Every sample is an exact, cached coupling_at, so the rule is a pure
+  // function of the two models whatever the lane or executor count.
+  return outermost_crossing(
+      [&](Millimeters d) { return coupling_at(a, b, d, 0.0, 0.0); }, k_threshold, d_lo,
+      d_hi, tol);
 }
 
 ExtractionCacheStats CouplingExtractor::cache_stats() const {

@@ -3,7 +3,7 @@
 // distance/angle sweeps the design rules are derived from.
 //
 // Caching. Extraction is the hot path of the whole pipeline (rule
-// derivation bisections, per-layout coupling installation, benches), and the
+// derivation searches, per-layout coupling installation, benches), and the
 // same geometry recurs constantly, so the extractor memoizes two levels:
 //   * self inductance, keyed by the model's content digest (self L is
 //     pose-invariant), and
@@ -149,10 +149,13 @@ class CouplingExtractor {
                                             Millimeters center_distance,
                                             std::size_t n_points) const;
 
-  // Smallest center distance at which |k| drops to `k_threshold` with
-  // parallel magnetic axes - the PEMD design rule. Monotone bisection over
-  // [d_lo, d_hi]; returns d_lo if even the closest spacing is below
-  // threshold, d_hi if the threshold cannot be met in range.
+  // The PEMD design rule: the smallest centre distance beyond which |k|
+  // stays at or under `k_threshold` with parallel magnetic axes, resolved
+  // to `tol` on the conservative side. |k(d)| is not monotone (cap-choke
+  // pairs pass through a sign change into a second bump), so this is the
+  // sign-aware outside-in search for the *outermost* crossing
+  // (pemd_search.hpp): returns d_hi if |k(d_hi)| is above the threshold,
+  // d_lo if nothing above it is found down to d_lo.
   Millimeters min_distance_for_coupling(const ComponentFieldModel& a,
                                         const ComponentFieldModel& b,
                                         double k_threshold, Millimeters d_lo,

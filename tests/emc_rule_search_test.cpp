@@ -1,0 +1,456 @@
+// The PEMD rule search (`ctest -L rules`): the outermost-crossing contract
+// on synthetic k(d) curves, the derived rules of every model pair against a
+// dense oracle, the scan regression for the cap-choke bump, the rule
+// deriver's dedupe and lane invariance, and the flow's extraction count.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "src/core/deadline.hpp"
+#include "src/core/thread_pool.hpp"
+#include "src/emi/rules.hpp"
+#include "src/flow/buck_converter.hpp"
+#include "src/flow/design_flow.hpp"
+#include "src/flow/scenario_large.hpp"
+#include "src/numeric/rng.hpp"
+#include "src/peec/coupling.hpp"
+#include "src/peec/pemd_search.hpp"
+
+namespace emi {
+namespace {
+
+using units::Millimeters;
+
+constexpr double kThr = 0.01;
+constexpr double kLo = 2.0;
+constexpr double kHi = 200.0;
+constexpr double kTol = 0.25;
+
+using Curve = std::function<double(double)>;
+
+struct Point {
+  double d;
+  double k;
+};
+
+struct Trace {
+  double result;
+  std::vector<Point> evaluated;
+};
+
+Trace search(const Curve& f, double thr = kThr, double lo = kLo, double hi = kHi,
+           double tol = kTol) {
+  Trace run;
+  run.result = peec::outermost_crossing(
+                   [&](Millimeters d) {
+                     const double k = f(d.raw());
+                     run.evaluated.push_back({d.raw(), k});
+                     return k;
+                   },
+                   thr, Millimeters{lo}, Millimeters{hi}, Millimeters{tol})
+                   .raw();
+  return run;
+}
+
+// The four contract properties of outermost_crossing, from its evaluations.
+void expect_contract(const Curve& f, const Trace& run, double thr = kThr, double lo = kLo,
+                     double hi = kHi, double tol = kTol) {
+  const bool above_hi = std::fabs(f(hi)) > thr;
+  // 1. d_hi exactly when |k(d_hi)| is above the threshold.
+  EXPECT_EQ(run.result == hi, above_hi) << "result " << run.result;
+  if (above_hi) return;
+  // 2. The rule distance itself is under the threshold.
+  EXPECT_LE(std::fabs(f(run.result)), thr) << "result " << run.result;
+  // 3. An evaluated point within tol inside it is above, unless d_lo.
+  if (run.result != lo) {
+    const bool witnessed = std::any_of(
+        run.evaluated.begin(), run.evaluated.end(), [&](const Point& p) {
+          return p.d < run.result && p.d >= run.result - tol && std::fabs(p.k) > thr;
+        });
+    EXPECT_TRUE(witnessed) << "no above-threshold point within tol of " << run.result;
+  }
+  // 4. Nothing evaluated beyond it is above.
+  for (const Point& p : run.evaluated) {
+    if (p.d > run.result) {
+      EXPECT_LE(std::fabs(p.k), thr) << "evaluated " << p.d << " beyond " << run.result;
+    }
+  }
+}
+
+// Outermost crossing of an analytic curve: the outermost above-threshold
+// cell of a dense geometric grid, then bisection inside that one cell.
+double dense_crossing(const Curve& f, double thr = kThr, double lo = kLo,
+                      double hi = kHi) {
+  const int n = 20000;
+  double inside = lo;
+  double outside = lo;
+  bool any = false;
+  for (int i = n; i >= 0; --i) {
+    const double d = lo * std::pow(hi / lo, static_cast<double>(i) / n);
+    if (std::fabs(f(d)) > thr) {
+      inside = d;
+      any = true;
+      break;
+    }
+    outside = d;
+  }
+  if (!any) return lo;
+  for (int i = 0; i < 60; ++i) {
+    const double mid = 0.5 * (inside + outside);
+    (std::fabs(f(mid)) > thr ? inside : outside) = mid;
+  }
+  return outside;
+}
+
+// The rule search before the outside-in one, kept only as a reference:
+// bisection that assumes |k| decays monotonically.
+double bisection_reference(const Curve& abs_k, double thr, double lo, double hi,
+                           double tol) {
+  if (abs_k(lo) <= thr) return lo;
+  if (abs_k(hi) > thr) return hi;
+  while (hi - lo > tol) {
+    const double mid = 0.5 * (lo + hi);
+    (abs_k(mid) > thr ? lo : hi) = mid;
+  }
+  return hi;
+}
+
+// Near-field term of opposite sign to the dipole tail: k passes through
+// zero at `zero` and |k| peaks at zero * sqrt(5/3) with `peak`.
+Curve cap_choke_curve(double zero, double peak, double sign = -1.0) {
+  const double d_peak = zero * std::sqrt(5.0 / 3.0);
+  const double c3 = peak * d_peak * d_peak * d_peak / 0.4;
+  return [=](double d) { return sign * c3 / (d * d * d) * (1.0 - zero * zero / (d * d)); };
+}
+
+TEST(RuleSearch, PowerLawCrossing) {
+  const Curve f = [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  const double exact = 10.0 * std::cbrt(50.0);
+  EXPECT_GE(run.result, exact);
+  EXPECT_LE(run.result, exact + kTol);
+  EXPECT_LE(run.evaluated.size(), 6u);
+}
+
+TEST(RuleSearch, SignChangeBumpAboveThreshold) {
+  // Shaped like the boost CX-LF pair: the bump past the zero (14.2 mm)
+  // peaks at 1.5x the threshold. The rule must clear the bump; bisection's
+  // midpoints (101, 51.5, 26.75, 14.4 mm) all fall under the threshold, so
+  // it settles on the near-field branch.
+  const Curve f = cap_choke_curve(14.2, 0.015);
+  const Trace run = search(f);
+  expect_contract(f, run);
+  const double exact = dense_crossing(f);
+  EXPECT_GT(exact, 14.2 * std::sqrt(5.0 / 3.0));  // on the bump's decaying flank
+  EXPECT_GE(run.result, exact);
+  EXPECT_LE(run.result, exact + kTol);
+  const Curve abs_f = [&](double d) { return std::fabs(f(d)); };
+  EXPECT_LT(bisection_reference(abs_f, kThr, kLo, kHi, kTol), 14.2);
+}
+
+TEST(RuleSearch, SignChangeBumpUnderThreshold) {
+  // A bump that peaks under the threshold is no rule: the crossing is on
+  // the near-field branch inside the zero.
+  const Curve f = cap_choke_curve(14.0, 0.008);
+  const Trace run = search(f);
+  expect_contract(f, run);
+  const double exact = dense_crossing(f);
+  EXPECT_LT(exact, 14.0);
+  EXPECT_GE(run.result, exact);
+  EXPECT_LE(run.result, exact + kTol);
+}
+
+TEST(RuleSearch, SteepTailOvershootIntoSignChangeIsProbed) {
+  // A nearly vanishing dipole term leaves a d^-4 tail, steeper than the
+  // dipole law the first trial assumes, so the march from d_hi lands just
+  // inside the zero (10.7 mm), under the threshold and past the whole bump
+  // (peak 0.022 at 13.6 mm). Only the sign change shows the bump is there.
+  const Curve f = [](double d) {
+    return 6.05 / (d * d * d) - 3638.0 / (d * d * d * d) + 38277.0 / (d * d * d * d * d);
+  };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  const double exact = dense_crossing(f);
+  EXPECT_GT(exact, 19.0);
+  EXPECT_GE(run.result, exact);
+  EXPECT_LE(run.result, exact + kTol);
+}
+
+TEST(RuleSearch, UnderThresholdEverywhereReturnsLowEnd) {
+  const Curve f = [](double d) { return 1e-3 * std::pow(kLo / d, 3.0); };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  EXPECT_EQ(run.result, kLo);
+  EXPECT_LE(run.evaluated.size(), 2u);
+}
+
+TEST(RuleSearch, AboveThresholdAtHighEndReturnsHighEnd) {
+  const Curve f = [](double) { return 0.02; };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  EXPECT_EQ(run.result, kHi);
+  EXPECT_EQ(run.evaluated.size(), 1u);
+}
+
+TEST(RuleSearch, ExactZero) {
+  // Identically zero (perpendicular axes, a degenerate model): d_lo.
+  const Curve none = [](double) { return 0.0; };
+  const Trace flat = search(none);
+  expect_contract(none, flat);
+  EXPECT_EQ(flat.result, kLo);
+  // An exact zero at d_hi carries no far-field slope; the search must still
+  // bracket the crossing of a compactly supported curve (0.01 at 45 mm).
+  const Curve compact = [](double d) { return d < 50.0 ? 0.002 * (50.0 - d) : 0.0; };
+  const Trace run = search(compact);
+  expect_contract(compact, run);
+  EXPECT_GE(run.result, 45.0);
+  EXPECT_LE(run.result, 45.0 + kTol);
+}
+
+TEST(RuleSearch, NoiseLevelCouplingIsCheap) {
+  // Round-off-level k of alternating sign (a pair whose fields cancel) must
+  // neither probe the sign changes nor march down in small steps.
+  const Curve f = [](double d) {
+    return (static_cast<int>(d) % 2 == 0 ? 1.0 : -1.0) * 1.4e-17;
+  };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  EXPECT_EQ(run.result, kLo);
+  EXPECT_LE(run.evaluated.size(), 2u);
+}
+
+TEST(RuleSearch, SeededCapChokeFamily) {
+  // Zeros from 3 to 30 mm, bump peaks from 0.3x to 3x the threshold, both
+  // signs, and the three tolerances the product and tests use.
+  num::Rng rng(0x5eed);
+  for (int i = 0; i < 300; ++i) {
+    const double zero = rng.uniform(3.0, 30.0);
+    const double peak = kThr * rng.uniform(0.3, 3.0);
+    const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+    const double tol = i % 3 == 0 ? 0.1 : (i % 3 == 1 ? 0.25 : 1.0);
+    const Curve f = cap_choke_curve(zero, peak, sign);
+    const Trace run = search(f, kThr, kLo, kHi, tol);
+    SCOPED_TRACE(::testing::Message() << "zero " << zero << " peak " << peak / kThr
+                                      << "x tol " << tol);
+    expect_contract(f, run, kThr, kLo, kHi, tol);
+    const double exact = dense_crossing(f);
+    EXPECT_GE(run.result, exact - 1e-9);
+    EXPECT_LE(run.result, exact + tol);
+  }
+}
+
+TEST(RuleSearch, RejectsBadArguments) {
+  const Curve f = [](double) { return 0.0; };
+  EXPECT_THROW(search(f, 0.0), std::invalid_argument);
+  EXPECT_THROW(search(f, kThr, 10.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(search(f, kThr, 0.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(search(f, kThr, kLo, kHi, 0.0), std::invalid_argument);
+}
+
+TEST(RuleSearch, StoppedScopeEvaluatesNothing) {
+  core::CancelToken token;
+  token.request_cancel();
+  core::CancelScope scope(core::Deadline::unlimited(), &token);
+  const Curve f = [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); };
+  const Trace run = search(f);
+  EXPECT_EQ(run.result, kHi);
+  EXPECT_TRUE(run.evaluated.empty());
+}
+
+// --- model pairs -----------------------------------------------------------
+
+struct Models {
+  flow::BuckConverter buck = flow::make_buck_converter();
+  flow::BuckConverter boost = flow::make_boost_converter();
+  flow::LargeScenario large = [] {
+    flow::LargeScenarioOptions o;
+    o.n_stages = 6;
+    return flow::make_large_scenario(o);
+  }();
+
+  // Every model pair of both converters and each large-scenario stage's
+  // own cap-coil pair (distinct models), one per ordered digest pair.
+  std::vector<emc::RuleDeriver::ModelPair> unique_pairs() const {
+    std::vector<emc::RuleDeriver::ModelPair> out;
+    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+    const auto add = [&](const peec::ComponentFieldModel& a,
+                         const peec::ComponentFieldModel& b) {
+      if (seen.emplace(peec::model_digest(a), peec::model_digest(b)).second) {
+        out.emplace_back(&a, &b);
+      }
+    };
+    for (const flow::BuckConverter* bc : {&buck, &boost}) {
+      for (std::size_t i = 0; i < bc->models.size(); ++i) {
+        for (std::size_t j = i + 1; j < bc->models.size(); ++j) {
+          add(bc->models[i], bc->models[j]);
+        }
+      }
+    }
+    for (std::size_t s = 0; s + 1 < large.models.size(); s += 2) {
+      add(large.models[s], large.models[s + 1]);
+    }
+    return out;
+  }
+};
+
+const Models& models() {
+  static const Models m;
+  return m;
+}
+
+const emc::RuleDeriverOptions kFlowRules{kThr, Millimeters{kLo}, Millimeters{kHi},
+                                         Millimeters{kTol}};
+
+TEST(RuleOracle, EveryModelPairWithinTolOfDenseOracle) {
+  // Oracle: one 1025-point coupling_vs_distance batch over [d_lo, d_hi]
+  // (0.19 mm cells). The crossing lies in the cell after the outermost
+  // above-threshold grid point, so the rule must lie beyond that point and
+  // at most tol past the cell's outer edge.
+  const std::vector<emc::RuleDeriver::ModelPair> pairs = models().unique_pairs();
+  ASSERT_GE(pairs.size(), 20u);
+  const peec::CouplingExtractor ex;
+  const emc::RuleDeriver deriver(ex, kFlowRules);
+  const std::size_t n = 1025;
+  const double cell = (kHi - kLo) / static_cast<double>(n - 1);
+  int bisection_nonconservative = 0;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& [a, b] = pairs[p];
+    const auto curve =
+        ex.coupling_vs_distance(*a, *b, Millimeters{kLo}, Millimeters{kHi}, n);
+    double inside = kLo;
+    bool any = false;
+    for (std::size_t i = n; i-- > 0;) {
+      if (curve[i].k > kThr) {
+        inside = curve[i].distance.raw();
+        any = true;
+        break;
+      }
+    }
+    const double pemd = deriver.derive(*a, *b).pemd.raw();
+    SCOPED_TRACE(a->name + "-" + b->name);
+    if (any) {
+      EXPECT_GT(pemd, inside);
+      EXPECT_LE(pemd, inside + cell + kTol);
+    } else {
+      EXPECT_EQ(pemd, kLo);
+    }
+    const Curve abs_k = [&](double d) {
+      return std::fabs(ex.coupling_at(*a, *b, Millimeters{d}));
+    };
+    if (any && bisection_reference(abs_k, kThr, kLo, kHi, kTol) <= inside) {
+      ++bisection_nonconservative;
+    }
+  }
+  // Bisection stops inside a cap-choke bump on the boost CX-LF pair and on
+  // most large-scenario stages.
+  EXPECT_GE(bisection_nonconservative, 2);
+}
+
+// The regression that fails with bisection: beyond the rule, |k| never
+// comes back above the threshold (scanned every 0.25 mm out to d_hi).
+void expect_clear_beyond(const peec::ComponentFieldModel& a,
+                         const peec::ComponentFieldModel& b) {
+  const peec::CouplingExtractor ex;
+  const double pemd = emc::RuleDeriver(ex, kFlowRules).derive(a, b).pemd.raw();
+  const std::size_t n = static_cast<std::size_t>((kHi - pemd) / 0.25) + 1;
+  const auto scan = ex.coupling_vs_distance(
+      a, b, Millimeters{pemd}, Millimeters{pemd + 0.25 * static_cast<double>(n - 1)}, n);
+  for (const auto& pt : scan) {
+    EXPECT_LE(pt.k, kThr) << a.name << "-" << b.name << " rule " << pemd << " mm, |k("
+                          << pt.distance.raw() << " mm)| = " << pt.k;
+  }
+}
+
+TEST(RuleOracle, BoostCapChokeRuleClearsTheBump) {
+  const flow::BuckConverter& boost = models().boost;
+  const peec::ComponentFieldModel& cx1 = *boost.model_for_component("CX1");
+  const peec::ComponentFieldModel& cx2 = *boost.model_for_component("CX2");
+  const peec::ComponentFieldModel& lf = *boost.model_for_component("LF");
+  expect_clear_beyond(cx1, lf);
+  const peec::CouplingExtractor ex;
+  const emc::RuleDeriver deriver(ex, kFlowRules);
+  // The outermost crossing lies in [18.82, 19.02] mm (dense oracle).
+  EXPECT_GE(deriver.derive(cx1, lf).pemd.raw(), 18.82);
+  EXPECT_GE(deriver.derive(cx2, lf).pemd.raw(), 18.82);
+  EXPECT_LE(deriver.derive(cx1, lf).pemd.raw(), 19.02 + kTol);
+}
+
+TEST(RuleOracle, LargeScenarioCapChokeRuleClearsTheBump) {
+  expect_clear_beyond(models().large.models[0], models().large.models[1]);
+}
+
+// --- the rule deriver --------------------------------------------------------
+
+TEST(RuleDeriver, SharedGeometrySharesOneSearch) {
+  // CX1 and CX2 are copies of one model: CX1-LF and CX2-LF are one search.
+  const flow::BuckConverter& boost = models().boost;
+  const peec::ComponentFieldModel* cx1 = boost.model_for_component("CX1");
+  const peec::ComponentFieldModel* cx2 = boost.model_for_component("CX2");
+  const peec::ComponentFieldModel* lf = boost.model_for_component("LF");
+  const peec::CouplingExtractor solo;
+  (void)emc::RuleDeriver(solo, kFlowRules).derive(*cx1, *lf);
+  const peec::CouplingExtractor both;
+  const std::vector<emc::RuleDeriver::ModelPair> pairs = {
+      {cx1, lf}, {cx2, lf}, {lf, cx1}};  // the last repeats a name pair
+  const std::vector<emc::MinDistanceRule> rules =
+      emc::RuleDeriver(both, kFlowRules).derive_pairs(pairs);
+  ASSERT_EQ(rules.size(), 2u);
+  EXPECT_EQ(rules[0].comp_a, "CX1");
+  EXPECT_EQ(rules[1].comp_a, "CX2");
+  EXPECT_EQ(rules[0].pemd.raw(), rules[1].pemd.raw());
+  EXPECT_EQ(both.cache_stats().mutual_misses, solo.cache_stats().mutual_misses);
+}
+
+class LaneGuard {
+ public:
+  ~LaneGuard() {
+    core::ThreadPool::set_global_thread_count(core::ThreadPool::default_thread_count());
+  }
+};
+
+TEST(RuleDeriver, BitIdenticalAtOneAndFourLanes) {
+  const LaneGuard guard;
+  const std::vector<emc::RuleDeriver::ModelPair> pairs = models().unique_pairs();
+  std::vector<std::vector<emc::MinDistanceRule>> tables;
+  for (const std::size_t lanes : {1u, 4u}) {
+    core::ThreadPool::set_global_thread_count(lanes);
+    const peec::CouplingExtractor ex;
+    tables.push_back(emc::RuleDeriver(ex, kFlowRules).derive_pairs(pairs));
+  }
+  ASSERT_EQ(tables[0].size(), tables[1].size());
+  for (std::size_t i = 0; i < tables[0].size(); ++i) {
+    EXPECT_EQ(tables[0][i].comp_a, tables[1][i].comp_a);
+    EXPECT_EQ(tables[0][i].comp_b, tables[1][i].comp_b);
+    EXPECT_EQ(tables[0][i].pemd.raw(), tables[1][i].pemd.raw()) << i;
+  }
+}
+
+TEST(RuleDeriver, FlowCountsItsRuleExtractions) {
+  // `rules.extractions` is the rule stage's own extractor misses; the
+  // bisection took 74 (buck) and 87 (boost).
+  for (const bool boost : {false, true}) {
+    flow::BuckConverter bc =
+        boost ? flow::make_boost_converter() : flow::make_buck_converter();
+    const place::Layout initial =
+        boost ? flow::boost_layout_unfavorable(bc) : flow::layout_unfavorable(bc);
+    flow::FlowOptions opt;
+    opt.sweep.n_points = 60;
+    opt.sweep_accel.adaptive = true;
+    opt.sweep_accel.surrogate = true;
+    const flow::FlowResult res = flow::run_design_flow(bc, initial, opt);
+    ASSERT_TRUE(res.complete);
+    const std::uint64_t extractions = res.profile.count("rules.extractions");
+    EXPECT_GT(extractions, 0u) << (boost ? "boost" : "buck");
+    EXPECT_LE(extractions, 60u) << (boost ? "boost" : "buck");
+  }
+}
+
+}  // namespace
+}  // namespace emi

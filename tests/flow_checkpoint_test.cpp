@@ -270,7 +270,8 @@ TEST(FlowCheckpoint, FuzzedCorruptionNeverCrashesTheParser) {
       mutated.resize(rng() % mutated.size());  // truncation (possibly empty)
     } else {
       const std::size_t pos = rng() % mutated.size();
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1u << (rng() % 8)));
+      mutated[pos] = static_cast<char>(static_cast<unsigned char>(mutated[pos]) ^
+                                        (1u << (rng() % 8)));
     }
     const core::Result<FlowCheckpoint> r = parse_checkpoint(mutated);
     if (!r.ok()) {

@@ -229,16 +229,16 @@ TEST(SessionManager, SecondSessionServedFromGlobalBitIdentical) {
 TEST(SessionManager, ConcurrentSessionsShareDeterministically) {
   svc::SessionManager sessions;
   const ComponentFieldModel model = x_capacitor("C");
-  constexpr int kSessions = 8;
-  constexpr int kPairs = 6;
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kPairs = 6;
 
   // Warm the global tier once, serially, to get the reference bits.
   std::vector<double> reference(kPairs);
   {
     CouplingExtractor warm({}, {}, sessions.session_cache("warm"));
-    for (int p = 0; p < kPairs; ++p) {
+    for (std::size_t p = 0; p < kPairs; ++p) {
       const PlacedModel a{&model, {{0.0, 0.0, 0.0}, 0.0}};
-      const PlacedModel b{&model, {{20.0 + 3.0 * p, 5.0, 0.0}, 90.0}};
+      const PlacedModel b{&model, {{20.0 + 3.0 * static_cast<double>(p), 5.0, 0.0}, 90.0}};
       reference[p] = warm.mutual(a, b).raw();
     }
   }
@@ -247,21 +247,21 @@ TEST(SessionManager, ConcurrentSessionsShareDeterministically) {
   std::vector<std::thread> threads;
   std::vector<std::vector<double>> got(kSessions,
                                        std::vector<double>(kPairs, 0.0));
-  for (int s = 0; s < kSessions; ++s) {
+  for (std::size_t s = 0; s < kSessions; ++s) {
     threads.emplace_back([&, s] {
       CouplingExtractor ex({}, {},
                            sessions.session_cache("client-" + std::to_string(s)));
-      for (int p = 0; p < kPairs; ++p) {
+      for (std::size_t p = 0; p < kPairs; ++p) {
         const PlacedModel a{&model, {{0.0, 0.0, 0.0}, 0.0}};
-        const PlacedModel b{&model, {{20.0 + 3.0 * p, 5.0, 0.0}, 90.0}};
+        const PlacedModel b{&model, {{20.0 + 3.0 * static_cast<double>(p), 5.0, 0.0}, 90.0}};
         got[s][p] = ex.mutual(a, b).raw();
       }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  for (int s = 0; s < kSessions; ++s) {
-    for (int p = 0; p < kPairs; ++p) EXPECT_EQ(got[s][p], reference[p]);
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    for (std::size_t p = 0; p < kPairs; ++p) EXPECT_EQ(got[s][p], reference[p]);
   }
   const CacheTierStats after = sessions.global_cache()->stats();
   // Warm tier: no concurrent session computed anything new.
@@ -269,7 +269,7 @@ TEST(SessionManager, ConcurrentSessionsShareDeterministically) {
   EXPECT_EQ(after.self_misses, warm_stats.self_misses);
   // And every session's probes were served (hits are monotone counters).
   EXPECT_EQ(after.mutual_hits,
-            warm_stats.mutual_hits + kSessions * static_cast<unsigned>(kPairs));
+            warm_stats.mutual_hits + kSessions * kPairs);
 }
 
 }  // namespace
