@@ -17,8 +17,8 @@ Millimeters effective_min_distance(Millimeters pemd, double axis_angle_deg) {
   return pemd * std::fabs(std::cos(geom::deg_to_rad(folded)));
 }
 
-std::vector<MinDistanceRule> RuleDeriver::derive_pairs(
-    std::span<const ModelPair> pairs) const {
+std::vector<MinDistanceRule> RuleDeriver::derive_pairs(std::span<const ModelPair> pairs,
+                                                       RuleSearchStats* stats) const {
   std::vector<MinDistanceRule> out;
   std::vector<std::size_t> search_of;  // rule -> unique search slot
   std::vector<ModelPair> searches;
@@ -35,13 +35,34 @@ std::vector<MinDistanceRule> RuleDeriver::derive_pairs(
     search_of.push_back(it->second);
     out.push_back({a->name, b->name, Millimeters{0.0}, opt_.k_threshold});
   }
-  std::vector<Millimeters> pemd(searches.size());
+  // Self inductances first, serially: the searches share models, and their
+  // first evaluations would otherwise all miss on them at once, making the
+  // cache counters depend on the schedule.
+  for (const auto& [a, b] : searches) {
+    for (const peec::CouplingExtractor* ex : {extractor_, steer_}) {
+      if (ex == nullptr) continue;
+      (void)ex->self_inductance(*a);
+      (void)ex->self_inductance(*b);
+    }
+  }
+  std::vector<peec::SteeredCrossing> found(searches.size());
   core::parallel_for(0, searches.size(), [&](std::size_t i) {
-    pemd[i] = extractor_->min_distance_for_coupling(
+    found[i] = extractor_->steered_min_distance(
         *searches[i].first, *searches[i].second, opt_.k_threshold, opt_.d_search_lo,
-        opt_.d_search_hi, opt_.tol);
+        opt_.d_search_hi, opt_.tol, steer_);
   });
-  for (std::size_t r = 0; r < out.size(); ++r) out[r].pemd = pemd[search_of[r]];
+  for (std::size_t r = 0; r < out.size(); ++r) out[r].pemd = found[search_of[r]].distance;
+  if (stats != nullptr) {
+    *stats = RuleSearchStats{};
+    stats->searches = found.size();
+    for (const peec::SteeredCrossing& f : found) {
+      stats->fallbacks += f.fell_back ? 1u : 0u;
+      stats->steer_max_rel_err = std::max(stats->steer_max_rel_err, f.steer_rel_err);
+    }
+    for (const std::size_t i : search_of) {
+      stats->null_geometry += found[i].null_geometry ? 1u : 0u;
+    }
+  }
   return out;
 }
 

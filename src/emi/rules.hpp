@@ -4,6 +4,7 @@
 // alpha is the angle between the two magnetic axes (section 4 / Fig 10).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <utility>
@@ -36,13 +37,24 @@ struct RuleDeriverOptions {
   Millimeters tol{0.25};
 };
 
+// How derive_pairs' searches reached their rules.
+struct RuleSearchStats {
+  std::uint64_t searches = 0;       // unique searches run
+  std::uint64_t fallbacks = 0;      // of those, whose certificate failed
+  std::uint64_t null_geometry = 0;  // rules whose exact |k| is round-off
+  double steer_max_rel_err = 0.0;   // largest steering error at a certified point
+};
+
 class RuleDeriver {
  public:
   using ModelPair =
       std::pair<const peec::ComponentFieldModel*, const peec::ComponentFieldModel*>;
 
-  RuleDeriver(const peec::CouplingExtractor& extractor, RuleDeriverOptions opt = {})
-      : extractor_(&extractor), opt_(opt) {}
+  // `steer`, when given and coarser than `extractor`, steers every search
+  // and `extractor` certifies it (CouplingExtractor::steered_min_distance).
+  RuleDeriver(const peec::CouplingExtractor& extractor, RuleDeriverOptions opt = {},
+              const peec::CouplingExtractor* steer = nullptr)
+      : extractor_(&extractor), steer_(steer), opt_(opt) {}
 
   // The rule table for a list of component pairs (worst case: parallel
   // axes): one rule per distinct unordered name pair, in first-occurrence
@@ -50,8 +62,10 @@ class RuleDeriver {
   // model-digest pair share one PEMD search (the result is a function of
   // geometry alone), and the unique searches run in one parallel_for, each
   // into its own slot, so the table is bit-identical at any lane count.
-  // Throws std::invalid_argument for a null model.
-  std::vector<MinDistanceRule> derive_pairs(std::span<const ModelPair> pairs) const;
+  // `stats`, if given, receives how the searches went. Throws
+  // std::invalid_argument for a null model.
+  std::vector<MinDistanceRule> derive_pairs(std::span<const ModelPair> pairs,
+                                            RuleSearchStats* stats = nullptr) const;
 
   // PEMD for one component pair.
   MinDistanceRule derive(const peec::ComponentFieldModel& a,
@@ -65,6 +79,7 @@ class RuleDeriver {
 
  private:
   const peec::CouplingExtractor* extractor_;
+  const peec::CouplingExtractor* steer_;
   RuleDeriverOptions opt_;
 };
 

@@ -7,18 +7,6 @@
 
 namespace emi::flow {
 
-namespace {
-
-// Degraded-retry quadrature: same physics, coarser integration.
-peec::QuadratureOptions coarse_quadrature(const FlowOptions& opt) {
-  peec::QuadratureOptions q = opt.quadrature;
-  q.order = std::max<std::size_t>(2, opt.quadrature.order / 2);
-  q.subdivisions = 1;
-  return q;
-}
-
-}  // namespace
-
 FlowEngine::FlowEngine(BuckConverter& bc, const place::Layout& initial_layout,
                        const FlowOptions& opt, FlowCheckpoint ck)
     : bc_(bc),
@@ -26,12 +14,13 @@ FlowEngine::FlowEngine(BuckConverter& bc, const place::Layout& initial_layout,
       opt_(opt),
       ck_(std::move(ck)),
       res_(ck_.result),
-      // Both extractors attach to the caller's (possibly tiered) cache when
-      // one is injected; quadrature and kernel gates are part of every cache
-      // key, so the exact and coarse extractors never alias entries. A null
-      // cache keeps two private caches - the pre-service behavior.
+      // Both extractors share one cache: the caller's (possibly tiered) one
+      // when injected, else the exact extractor's private one. Quadrature
+      // and kernel gates are part of every cache key, so the exact and
+      // coarse extractors never alias entries.
       extractor_(opt.quadrature, opt.kernel, opt.extraction_cache),
-      coarse_extractor_(coarse_quadrature(opt), opt.kernel, opt.extraction_cache),
+      coarse_extractor_(peec::coarse_quadrature(opt.quadrature), opt.kernel,
+                        extractor_.cache()),
       pool0_(core::ThreadPool::global().stats()),
       kern0_(peec::kernel_stats()),
       driver_{&opt_,
@@ -248,32 +237,50 @@ bool FlowEngine::unit_rule_derivation() {
       const peec::ComponentFieldModel* mb = bc_.model_for_inductor(lb);
       if (ma != nullptr && mb != nullptr) todo.emplace_back(ma, mb);
     }
-    // This stage's own extractions: the extractors' miss counters, unlike
-    // the process-wide kernel stats, exclude concurrent jobs' work.
-    const auto rule_misses = [&] {
-      return extractor_.cache_stats().mutual_misses +
-             coarse_extractor_.cache_stats().mutual_misses;
+    // This stage's own extractions, exact and steering apart: the
+    // extractors' miss counters, unlike the process-wide kernel stats,
+    // exclude concurrent jobs' work.
+    const auto misses = [](const peec::CouplingExtractor* ex) {
+      return ex == nullptr ? 0 : ex->cache_stats().mutual_misses;
     };
-    const std::uint64_t misses0 = rule_misses();
+    std::uint64_t exact_misses = 0;
+    std::uint64_t steering_misses = 0;
     std::vector<emc::MinDistanceRule> derived;
+    emc::RuleSearchStats search;
     const detail::StageOutcome so = driver_.run(
         "flow.rule_derivation", [&](int, int degrade) {
           core::ScopedTimer t(res_.profile, "flow.rule_derivation_s");
-          // Degraded retry: coarser quadrature and a coarser search
-          // tolerance - rules stay conservative, just less finely resolved.
+          // A full attempt steers on the coarse quadrature and certifies
+          // exactly. Degraded retry: coarse quadrature, no steering, and a
+          // coarser search tolerance - rules stay conservative, just less
+          // finely resolved.
+          const peec::CouplingExtractor& exact = pick_extractor(degrade);
+          const peec::CouplingExtractor* steer = degrade > 0 ? nullptr : &coarse_extractor_;
+          const std::uint64_t exact0 = misses(&exact);
+          const std::uint64_t steer0 = misses(steer);
           const emc::RuleDeriver deriver(
-              pick_extractor(degrade),
+              exact,
               {opt_.k_threshold, emc::Millimeters{2.0}, emc::Millimeters{200.0},
-               emc::Millimeters{degrade > 0 ? 1.0 : 0.25}});
-          derived = deriver.derive_pairs(todo);
+               emc::Millimeters{degrade > 0 ? 1.0 : 0.25}},
+              steer);
+          derived = deriver.derive_pairs(todo, &search);
+          exact_misses += misses(&exact) - exact0;
+          steering_misses += misses(steer) - steer0;
         });
-    res_.profile.add_count("rules.extractions", rule_misses() - misses0);
+    res_.profile.add_count("rules.extractions", exact_misses);
+    res_.profile.add_count("rules.steering_extractions", steering_misses);
     if (so == detail::StageOutcome::kCancelled) {
       halt_pipeline();
       return false;
     }
     rules_ok_ = so == detail::StageOutcome::kOk;
-    if (rules_ok_) res_.rules = std::move(derived);
+    if (rules_ok_) {
+      res_.rules = std::move(derived);
+      res_.profile.add_count("rules.searches", search.searches);
+      res_.profile.add_count("rules.fallbacks", search.fallbacks);
+      res_.profile.add_count("rules.null_geometry", search.null_geometry);
+      res_.profile.max_gauge("rules.steer_max_rel_err", search.steer_max_rel_err);
+    }
     if (checkpoint_after(FlowStage::kRuleDerivation, rules_ok_)) {
       halt_pipeline();
       return false;

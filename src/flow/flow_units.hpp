@@ -92,8 +92,9 @@ class FlowEngine {
   FlowResult& res_;  // alias of ck_.result
 
   peec::CouplingExtractor extractor_;
-  // Degraded-retry extractor: same physics, coarser quadrature. Only used by
-  // attempts that follow a deadline expiry.
+  // Same physics, peec::coarse_quadrature: steers the rule stage's PEMD
+  // searches, and is the one extractor of attempts that follow a deadline
+  // expiry.
   peec::CouplingExtractor coarse_extractor_;
   core::PoolStats pool0_;
   peec::KernelStats kern0_;

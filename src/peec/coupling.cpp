@@ -8,7 +8,6 @@
 #include "src/core/fault_injection.hpp"
 #include "src/core/parallel.hpp"
 #include "src/peec/cluster_tree.hpp"
-#include "src/peec/pemd_search.hpp"
 
 namespace emi::peec {
 
@@ -61,12 +60,16 @@ std::uint64_t CouplingExtractor::self_key(std::uint64_t digest) const {
 }
 
 Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
+  return self_inductance(m, model_digest(m));
+}
+
+Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m,
+                                         std::uint64_t id) const {
   // Per-pair cooperative stop probe: once the owning stage's CancelScope
   // reports a stop, skip the quadrature and return the zero sentinel without
   // touching the cache. The stage discards all results on a stop, so the
   // sentinel never reaches a caller that keeps them.
   if (!core::CancelScope::poll()) return Henry{0.0};
-  const std::uint64_t id = model_digest(m);
   // Injected cache miss: recompute instead of returning the memoized value.
   // Entries are pure functions of the key, so this perturbs timing and hit
   // counters but never the returned inductance - exactly what the cache's
@@ -92,12 +95,11 @@ Henry CouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
 }
 
 CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
-    const PlacedModel& a, const PlacedModel& b) const {
+    const PlacedModel& a, const PlacedModel& b, std::uint64_t da,
+    std::uint64_t db) const {
   // Canonical pair order (smaller digest first) and canonical relative pose:
   // second model expressed in the first model's frame. Rigid translations of
   // the pair - the placer's bread and butter - collapse to one key.
-  const std::uint64_t da = model_digest(*a.model);
-  const std::uint64_t db = model_digest(*b.model);
   // Identical models (equal digests) are common - the paper's X-cap pair -
   // so break the tie on pose, keeping mutual(a,b) and mutual(b,a) on one key.
   const auto pose_before = [](const Pose& p, const Pose& q) {
@@ -161,10 +163,15 @@ Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) cons
   if (a.model == nullptr || b.model == nullptr) {
     throw std::invalid_argument("CouplingExtractor::mutual: null model");
   }
+  return mutual(a, b, model_digest(*a.model), model_digest(*b.model));
+}
+
+Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b,
+                                std::uint64_t da, std::uint64_t db) const {
   // Same cooperative stop contract as self_inductance: sentinel out, cache
   // untouched, results discarded by the stopped stage.
   if (!core::CancelScope::poll()) return Henry{0.0};
-  const CanonicalPair c = canonicalize(a, b);
+  const CanonicalPair c = canonicalize(a, b, da, db);
   const bool forced_miss = core::fault::should_fire(
       core::FaultSite::kCache, core::fault::mix(1, MutualCacheKeyHash{}(c.key)));
   if (!forced_miss) {
@@ -212,7 +219,9 @@ std::vector<Henry> CouplingExtractor::mutual_batch(
   job_of.reserve(pairs.size());
   std::vector<std::size_t> slot(pairs.size());
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    CanonicalPair c = canonicalize(models[pairs[p].first], models[pairs[p].second]);
+    const PlacedModel& a = models[pairs[p].first];
+    const PlacedModel& b = models[pairs[p].second];
+    CanonicalPair c = canonicalize(a, b, model_digest(*a.model), model_digest(*b.model));
     const auto [it, inserted] = job_of.emplace(c.key, jobs.size());
     if (inserted) jobs.push_back(Job{c, 0.0, false, false});
     slot[p] = it->second;
@@ -412,14 +421,35 @@ std::vector<CouplingExtractor::AnglePoint> CouplingExtractor::coupling_vs_angle(
   return out;
 }
 
+CouplingCurve CouplingExtractor::axis_curve(const ComponentFieldModel& a,
+                                            const ComponentFieldModel& b) const {
+  const std::uint64_t da = model_digest(a);
+  const std::uint64_t db = model_digest(b);
+  const Henry la = self_inductance(a, da);
+  const Henry lb = self_inductance(b, db);
+  return [this, &a, &b, da, db, la, lb](Millimeters d) -> double {
+    if (la.raw() <= 0.0 || lb.raw() <= 0.0) return 0.0;
+    const PlacedModel pa{&a, Pose{{0.0, 0.0, 0.0}, 0.0}};
+    const PlacedModel pb{&b, Pose{{d.raw(), 0.0, 0.0}, 0.0}};
+    return mutual(pa, pb, da, db) / units::sqrt(la * lb);
+  };
+}
+
 Millimeters CouplingExtractor::min_distance_for_coupling(
     const ComponentFieldModel& a, const ComponentFieldModel& b, double k_threshold,
     Millimeters d_lo, Millimeters d_hi, Millimeters tol) const {
-  // Every sample is an exact, cached coupling_at, so the rule is a pure
-  // function of the two models whatever the lane or executor count.
-  return outermost_crossing(
-      [&](Millimeters d) { return coupling_at(a, b, d, 0.0, 0.0); }, k_threshold, d_lo,
-      d_hi, tol);
+  return steered_min_distance(a, b, k_threshold, d_lo, d_hi, tol, nullptr).distance;
+}
+
+SteeredCrossing CouplingExtractor::steered_min_distance(
+    const ComponentFieldModel& a, const ComponentFieldModel& b, double k_threshold,
+    Millimeters d_lo, Millimeters d_hi, Millimeters tol,
+    const CouplingExtractor* steer) const {
+  // Steering and certifying samples are cached pure functions of their
+  // keys, so the result, fallback or not, is lane- and executor-invariant.
+  const bool steers = steer != nullptr && strictly_coarser(steer->options(), opt_);
+  return steered_outermost_crossing(steers ? steer->axis_curve(a, b) : CouplingCurve{},
+                                    axis_curve(a, b), k_threshold, d_lo, d_hi, tol);
 }
 
 ExtractionCacheStats CouplingExtractor::cache_stats() const {

@@ -33,6 +33,7 @@
 #include "src/peec/component_model.hpp"
 #include "src/peec/extraction_cache.hpp"
 #include "src/peec/partial_inductance.hpp"
+#include "src/peec/pemd_search.hpp"
 
 namespace emi::peec {
 
@@ -162,6 +163,20 @@ class CouplingExtractor {
                                         Millimeters d_hi,
                                         Millimeters tol = Millimeters{0.1}) const;
 
+  // The same rule, steered: the search runs on `steer`'s k(d) and this
+  // extractor certifies the result with one or two exact evaluations
+  // (steered_outermost_crossing). No steering sample beyond the rule is
+  // above the threshold; the exact k is under it at the rule and above it
+  // `tol` inside. `steer` steers only when its quadrature is strictly
+  // coarser than this extractor's; with a null or no coarser `steer`, or a
+  // failed certificate, the distance is min_distance_for_coupling's, bit
+  // for bit. Sharing one cache between the two extractors is safe: the
+  // quadrature is part of every key.
+  SteeredCrossing steered_min_distance(const ComponentFieldModel& a,
+                                       const ComponentFieldModel& b, double k_threshold,
+                                       Millimeters d_lo, Millimeters d_hi, Millimeters tol,
+                                       const CouplingExtractor* steer) const;
+
   ExtractionCacheStats cache_stats() const;
 
  private:
@@ -175,8 +190,18 @@ class CouplingExtractor {
     double rel_rot;
     double stray;
   };
-  CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b) const;
+  // `da` and `db` are the models' digests, which a caller that probes one
+  // pair many times computes once.
+  CanonicalPair canonicalize(const PlacedModel& a, const PlacedModel& b,
+                             std::uint64_t da, std::uint64_t db) const;
   double compute_mutual_air(const CanonicalPair& c) const;
+  Henry self_inductance(const ComponentFieldModel& m, std::uint64_t digest) const;
+  Henry mutual(const PlacedModel& a, const PlacedModel& b, std::uint64_t da,
+               std::uint64_t db) const;
+  // coupling_at(a, b, d) as a curve in d, with both digests and both self
+  // inductances computed once instead of per evaluation; same bits.
+  CouplingCurve axis_curve(const ComponentFieldModel& a,
+                           const ComponentFieldModel& b) const;
   // Self-tier cache key: model digest mixed with the quadrature options (the
   // quadrature changes computed self inductance, and the cache may be shared
   // across differently-configured extractors).

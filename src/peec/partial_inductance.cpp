@@ -204,4 +204,16 @@ double path_mutual_legacy(const SegmentPath& p1, const SegmentPath& p2,
   return total;
 }
 
+QuadratureOptions coarse_quadrature(const QuadratureOptions& q) {
+  QuadratureOptions c = q;
+  c.order = std::max<std::size_t>(2, q.order / 2);
+  c.subdivisions = 1;
+  return c;
+}
+
+bool strictly_coarser(const QuadratureOptions& a, const QuadratureOptions& b) {
+  return a.order <= b.order && a.subdivisions <= b.subdivisions &&
+         (a.order < b.order || a.subdivisions < b.subdivisions);
+}
+
 }  // namespace emi::peec

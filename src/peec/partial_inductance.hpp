@@ -38,6 +38,16 @@ struct QuadratureOptions {
   std::size_t subdivisions = 2; // split each segment before integrating
 };
 
+// Same physics, coarser integration: half the order (at least 2) and no
+// subdivision - 9 samples per segment pair against 144 at the default. The
+// design flow's degraded retry extracts with it, and its PEMD search steers
+// on it (pemd_search.hpp).
+QuadratureOptions coarse_quadrature(const QuadratureOptions& q);
+
+// True when `a` uses no more points than `b` on either axis and fewer on
+// one, so an extractor at `a` is the cheaper one.
+bool strictly_coarser(const QuadratureOptions& a, const QuadratureOptions& b);
+
 // Gates for the approximate pair-kernel fast paths. Both default off: the
 // exact quadrature runs and results stay bit-identical with older builds.
 // The design flow (and other callers that tolerate the documented error)

@@ -19,6 +19,11 @@ constexpr double kMaxExponent = 6.0;
 constexpr double kFinishStep = 0.9;  // x tol: a step that closes the bracket
 constexpr double kGolden = 0.3819660112501051;  // 2 - phi
 constexpr int kMaxProbeSteps = 64;
+constexpr double kNullCoupling = 1e-12;  // |k| of a geometry whose fields cancel
+// Relative steering error a certificate trusts. The coarse quadrature is
+// within 2% of the exact k on the converters' pairs, so a bump the steering
+// puts within 5% under the threshold may be above it exactly.
+constexpr double kSteerMargin = 0.05;
 
 struct Sample {
   double d;  // mm
@@ -243,17 +248,103 @@ class Search {
   int retained_out_ = 0;
 };
 
-}  // namespace
+// Whether a steering sample beyond the rule `r`, past the rule's own
+// decaying tail (a sign change or a rise ends it), comes within the
+// steering margin of the threshold: a bump the steering saw just under it.
+bool bump_near_threshold(std::vector<Sample> seen, double r, double thr) {
+  std::sort(seen.begin(), seen.end(),
+            [](const Sample& a, const Sample& b) { return a.d < b.d; });
+  auto it = std::find_if(seen.begin(), seen.end(), [&](const Sample& s) { return s.d >= r; });
+  if (it == seen.end()) return false;
+  while (it + 1 != seen.end() && it->k * (it + 1)->k > 0.0 &&
+         std::fabs((it + 1)->k) <= std::fabs(it->k)) {
+    ++it;
+  }
+  return std::any_of(it + 1, seen.end(), [&](const Sample& s) {
+    return std::fabs(s.k) > (1.0 - kSteerMargin) * thr;
+  });
+}
 
-Millimeters outermost_crossing(const CouplingCurve& k, double k_threshold,
-                               Millimeters d_lo, Millimeters d_hi, Millimeters tol) {
-  if (k_threshold <= 0.0) throw std::invalid_argument("min_distance: threshold <= 0");
+void check_arguments(double thr, Millimeters d_lo, Millimeters d_hi, Millimeters tol) {
+  if (thr <= 0.0) throw std::invalid_argument("min_distance: threshold <= 0");
   if (d_lo.raw() <= 0.0 || d_hi <= d_lo) {
     throw std::invalid_argument("min_distance: bad bracket");
   }
   if (tol.raw() <= 0.0) throw std::invalid_argument("min_distance: tolerance <= 0");
-  Search search(k, k_threshold, d_lo.raw(), d_hi.raw(), tol.raw());
-  return Millimeters{search.run()};
+}
+
+}  // namespace
+
+Millimeters outermost_crossing(const CouplingCurve& k, double k_threshold,
+                               Millimeters d_lo, Millimeters d_hi, Millimeters tol) {
+  check_arguments(k_threshold, d_lo, d_hi, tol);
+  return Millimeters{Search(k, k_threshold, d_lo.raw(), d_hi.raw(), tol.raw()).run()};
+}
+
+SteeredCrossing steered_outermost_crossing(const CouplingCurve& steer,
+                                           const CouplingCurve& exact,
+                                           double k_threshold, Millimeters d_lo,
+                                           Millimeters d_hi, Millimeters tol) {
+  check_arguments(k_threshold, d_lo, d_hi, tol);
+  const double lo = d_lo.raw();
+  const double hi = d_hi.raw();
+  double peak = 0.0;
+  const CouplingCurve tracked = [&](Millimeters d) {
+    const double k = exact(d);
+    peak = std::max(peak, std::fabs(k));
+    return k;
+  };
+  SteeredCrossing out;
+  const auto done = [&](double d) {
+    out.distance = Millimeters{d};
+    out.null_geometry = peak < kNullCoupling;
+    return out;
+  };
+  if (steer) {
+    std::vector<Sample> seen;
+    const CouplingCurve logged = [&](Millimeters d) {
+      seen.push_back(Sample{d.raw(), steer(d)});
+      return seen.back().k;
+    };
+    const double r = Search(logged, k_threshold, lo, hi, tol.raw()).run();
+    struct Certificate {
+      double d;
+      bool above;  // the exact |k| there must be above the threshold
+    };
+    std::vector<Certificate> certs;
+    if (r == hi) {
+      certs = {{hi, true}};
+    } else if (r == lo) {
+      certs = {{lo, false}};
+    } else {
+      certs = {{r, false}, {std::max(lo, r - tol.raw()), true}};
+    }
+    const auto steer_at = [&](double d) {
+      for (const Sample& s : seen) {
+        if (s.d == d) return s.k;
+      }
+      return steer(Millimeters{d});
+    };
+    // d_hi needs nothing of the steering; a lower rule relies on it beyond
+    // the rule, so there it must agree with the exact k to within the margin.
+    bool certified = r == hi || !bump_near_threshold(seen, r, k_threshold);
+    double err = 0.0;
+    for (std::size_t i = 0; certified && i < certs.size(); ++i) {
+      if (!core::CancelScope::poll()) return done(hi);
+      const double k = tracked(Millimeters{certs[i].d});
+      certified = (std::fabs(k) > k_threshold) == certs[i].above;
+      if (certified && std::fabs(k) >= kNullCoupling) {
+        err = std::max(err, std::fabs(k - steer_at(certs[i].d)) / std::fabs(k));
+        certified = r == hi || err <= kSteerMargin;
+      }
+    }
+    if (certified) {
+      out.steer_rel_err = err;
+      return done(r);
+    }
+    out.fell_back = true;
+  }
+  return done(Search(tracked, k_threshold, lo, hi, tol.raw()).run());
 }
 
 }  // namespace emi::peec

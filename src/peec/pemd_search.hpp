@@ -38,6 +38,24 @@
 // Throws std::invalid_argument for thr <= 0, d_lo <= 0, d_hi <= d_lo or
 // tol <= 0. The calling thread's core::CancelScope is polled before every
 // evaluation; a stopped search returns d_hi for the stage to discard.
+//
+// Steered search (steered_outermost_crossing): the same search runs on a
+// cheap steering curve - the coupling at a coarser quadrature, which tracks
+// the converged one to within a few percent - and exact evaluations then
+// certify the steering result r:
+//   * r = d_hi: |k(d_hi)| > thr;
+//   * r = d_lo: |k(d_lo)| <= thr;
+//   * otherwise |k(r)| <= thr and |k(max(d_lo, r - tol))| > thr.
+// That is one exact evaluation for d_lo and d_hi, two for a crossing. Below
+// d_hi the rule also leans on the steering beyond it, so the certificate
+// further asks that the steering agree with the exact k to within 5% at
+// the certified points, and that no steering sample beyond the rule's own
+// decaying tail (past a sign change or a rise, i.e. on a bump) come within
+// 5% under thr. If any of this fails, the exact-only search runs
+// unchanged, so its result is bit-identical to outermost_crossing. A
+// certified rule keeps the first and third properties of the contract with
+// exact points; the second becomes "no *steering* sample beyond the result
+// is above thr".
 #pragma once
 
 #include <functional>
@@ -53,5 +71,26 @@ using CouplingCurve = std::function<double(Millimeters)>;
 
 Millimeters outermost_crossing(const CouplingCurve& k, double k_threshold,
                                Millimeters d_lo, Millimeters d_hi, Millimeters tol);
+
+// What a steered search returned and how it got there.
+struct SteeredCrossing {
+  Millimeters distance;
+  // A certificate failed and `distance` is the exact-only search's.
+  bool fell_back = false;
+  // Largest |k_exact - k_steer| / |k_exact| over the certified points whose
+  // exact |k| is above the null floor; 0 when nothing was certified.
+  double steer_rel_err = 0.0;
+  // Every exact |k| the search evaluated is under the null floor (1e-12):
+  // round-off, the pair's fields cancel in the rule geometry.
+  bool null_geometry = false;
+};
+
+// Steer on `steer`, certify on `exact` (see above). An empty `steer` runs
+// the exact-only search. Same arguments, throws and stop behavior as
+// outermost_crossing; a stop during either phase returns d_hi.
+SteeredCrossing steered_outermost_crossing(const CouplingCurve& steer,
+                                           const CouplingCurve& exact,
+                                           double k_threshold, Millimeters d_lo,
+                                           Millimeters d_hi, Millimeters tol);
 
 }  // namespace emi::peec

@@ -1,7 +1,9 @@
 // The PEMD rule search (`ctest -L rules`): the outermost-crossing contract
-// on synthetic k(d) curves, the derived rules of every model pair against a
-// dense oracle, the scan regression for the cap-choke bump, the rule
-// deriver's dedupe and lane invariance, and the flow's extraction count.
+// on synthetic k(d) curves, the steered search's certificates and fallback
+// on synthetic steering curves, the derived rules of every model pair
+// against a dense oracle (exact and steered), the scan regression for the
+// cap-choke bump, the rule deriver's dedupe and lane invariance, and the
+// flow's rule counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +11,8 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -264,6 +268,208 @@ TEST(RuleSearch, StoppedScopeEvaluatesNothing) {
   EXPECT_TRUE(run.evaluated.empty());
 }
 
+// --- steered search ----------------------------------------------------------
+
+struct SteeredTrace {
+  peec::SteeredCrossing out;
+  std::vector<Point> steering;
+  std::vector<Point> exact;
+};
+
+SteeredTrace steered_search(const Curve& steer, const Curve& exact, double tol = kTol) {
+  SteeredTrace run;
+  const auto traced = [](const Curve& f, std::vector<Point>& log) {
+    return [&f, &log](Millimeters d) {
+      const double k = f(d.raw());
+      log.push_back({d.raw(), k});
+      return k;
+    };
+  };
+  run.out = peec::steered_outermost_crossing(traced(steer, run.steering),
+                                             traced(exact, run.exact), kThr,
+                                             Millimeters{kLo}, Millimeters{kHi},
+                                             Millimeters{tol});
+  return run;
+}
+
+std::vector<Curve> named_curves() {
+  return {
+      [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); },
+      cap_choke_curve(14.2, 0.015),
+      cap_choke_curve(14.0, 0.008),
+      [](double d) {
+        return 6.05 / (d * d * d) - 3638.0 / (d * d * d * d) + 38277.0 / (d * d * d * d * d);
+      },
+      [](double d) { return 1e-3 * std::pow(kLo / d, 3.0); },
+      [](double) { return 0.02; },
+  };
+}
+
+TEST(SteeredSearch, ExactSteeringCertifiesWithTwoExactEvaluations) {
+  // Steering on the exact curve: the steering search is outermost_crossing
+  // itself, its result certifies, and the outermost-crossing contract holds
+  // on the union of both phases' points.
+  for (const Curve& f : named_curves()) {
+    const SteeredTrace run = steered_search(f, f);
+    EXPECT_FALSE(run.out.fell_back);
+    EXPECT_LE(run.exact.size(), 2u);
+    EXPECT_EQ(run.out.distance.raw(), search(f).result);
+    Trace both{run.out.distance.raw(), run.steering};
+    both.evaluated.insert(both.evaluated.end(), run.exact.begin(), run.exact.end());
+    expect_contract(f, both);
+    EXPECT_EQ(run.out.steer_rel_err, 0.0);
+  }
+}
+
+TEST(SteeredSearch, BiasedSteeringFallsBackBitIdentical) {
+  // Steering 20% high is off by more than the 5% margin; shifted by 2 tol
+  // either way, it misplaces the crossing by more than tol. Either way a
+  // certificate fails and the result is the exact-only search's, bit for
+  // bit.
+  for (const Curve& f : named_curves()) {
+    const double exact_only = search(f).result;
+    if (exact_only == kLo || exact_only == kHi) continue;
+    const std::vector<Curve> biased = {
+        [&](double d) { return 1.2 * f(d); },
+        [&](double d) { return f(d - 2.0 * kTol); },
+        [&](double d) { return f(d + 2.0 * kTol); },
+    };
+    for (const Curve& steer : biased) {
+      const SteeredTrace run = steered_search(steer, f);
+      EXPECT_TRUE(run.out.fell_back);
+      EXPECT_EQ(run.out.distance.raw(), exact_only);
+      EXPECT_EQ(run.out.steer_rel_err, 0.0);
+    }
+  }
+}
+
+TEST(SteeredSearch, BumpSteeredJustUnderThresholdFallsBack) {
+  // The exact bump peaks 1% above the threshold and the steering, 2% low,
+  // puts it 1% under, so the steering's rule lies inside the zero, where
+  // both of its bracket certificates hold. The steering samples on the bump,
+  // within the margin under the threshold, show the rule may be wrong.
+  const Curve f = cap_choke_curve(14.2, 0.0101);
+  const double exact_only = search(f).result;
+  ASSERT_GT(exact_only, 14.2 * std::sqrt(5.0 / 3.0));  // on the bump's outer flank
+  const SteeredTrace run = steered_search([&](double d) { return 0.98 * f(d); }, f);
+  EXPECT_TRUE(run.out.fell_back);
+  EXPECT_EQ(run.out.distance.raw(), exact_only);
+}
+
+TEST(SteeredSearch, SlightlyBiasedSteeringCertifiesAndReportsItsError) {
+  const Curve f = cap_choke_curve(14.2, 0.015);
+  const SteeredTrace run = steered_search([&](double d) { return 1.01 * f(d); }, f);
+  EXPECT_FALSE(run.out.fell_back);
+  EXPECT_EQ(run.exact.size(), 2u);
+  EXPECT_NEAR(run.out.steer_rel_err, 0.01, 1e-9);
+  // Certified: under the threshold at the rule, above it tol inside.
+  EXPECT_LE(std::fabs(f(run.out.distance.raw())), kThr);
+  EXPECT_GT(std::fabs(f(run.out.distance.raw() - kTol)), kThr);
+  EXPECT_GE(run.out.distance.raw(), dense_crossing(f));
+  EXPECT_LE(run.out.distance.raw(), dense_crossing(f) + kTol);
+}
+
+TEST(SteeredSearch, EndOutcomesCostOneExactEvaluation) {
+  const Curve under = [](double d) { return 1e-3 * std::pow(kLo / d, 3.0); };
+  const SteeredTrace low = steered_search(under, under);
+  EXPECT_EQ(low.out.distance.raw(), kLo);
+  ASSERT_EQ(low.exact.size(), 1u);
+  EXPECT_EQ(low.exact[0].d, kLo);
+
+  const Curve over = [](double) { return 0.02; };
+  const SteeredTrace high = steered_search(over, over);
+  EXPECT_EQ(high.out.distance.raw(), kHi);
+  ASSERT_EQ(high.exact.size(), 1u);
+  EXPECT_EQ(high.exact[0].d, kHi);
+
+  // A certificate that fails at an end falls back like any other.
+  const Curve peaked = [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); };
+  const SteeredTrace wrong = steered_search(under, peaked);
+  EXPECT_TRUE(wrong.out.fell_back);
+  EXPECT_EQ(wrong.out.distance.raw(), search(peaked).result);
+}
+
+TEST(SteeredSearch, NullGeometryIsReported) {
+  const Curve noise = [](double d) {
+    return (static_cast<int>(d) % 2 == 0 ? 1.0 : -1.0) * 1.4e-17;
+  };
+  const SteeredTrace null = steered_search(noise, noise);
+  EXPECT_EQ(null.out.distance.raw(), kLo);
+  EXPECT_TRUE(null.out.null_geometry);
+  EXPECT_EQ(null.out.steer_rel_err, 0.0);  // round-off has no relative error
+  const Curve f = [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); };
+  EXPECT_FALSE(steered_search(f, f).out.null_geometry);
+  // The exact-only search reports it too.
+  EXPECT_TRUE(peec::steered_outermost_crossing({}, [&](Millimeters d) { return noise(d.raw()); },
+                                               kThr, Millimeters{kLo}, Millimeters{kHi},
+                                               Millimeters{kTol})
+                  .null_geometry);
+}
+
+TEST(SteeredSearch, StopDuringSteeringReturnsHighEndWithoutExactWork) {
+  core::CancelToken token;
+  core::CancelScope scope(core::Deadline::unlimited(), &token);
+  const Curve f = [](double d) { return 0.5 * std::pow(10.0 / d, 3.0); };
+  int steering_calls = 0;
+  const Curve steer = [&](double d) {
+    if (++steering_calls == 3) token.request_cancel();
+    return f(d);
+  };
+  const SteeredTrace run = steered_search(steer, f);
+  EXPECT_EQ(run.out.distance.raw(), kHi);
+  EXPECT_EQ(run.steering.size(), 3u);
+  EXPECT_TRUE(run.exact.empty());
+  EXPECT_FALSE(run.out.fell_back);
+}
+
+TEST(SteeredSearch, RejectsBadArguments) {
+  const auto zero = [](Millimeters) { return 0.0; };
+  EXPECT_THROW(peec::steered_outermost_crossing(zero, zero, 0.0, Millimeters{kLo},
+                                                Millimeters{kHi}, Millimeters{kTol}),
+               std::invalid_argument);
+  EXPECT_THROW(peec::steered_outermost_crossing(zero, zero, kThr, Millimeters{kLo},
+                                                Millimeters{kLo}, Millimeters{kTol}),
+               std::invalid_argument);
+  EXPECT_THROW(peec::steered_outermost_crossing(zero, zero, kThr, Millimeters{kLo},
+                                                Millimeters{kHi}, Millimeters{0.0}),
+               std::invalid_argument);
+}
+
+TEST(SteeredSearch, SeededCapChokeFamilyMatchesOrFallsBack) {
+  // Steering within 1.5% of the exact curve (a smooth multiplicative error,
+  // as the coarse quadrature's): certified results stay within tol beyond
+  // the exact crossing, also where the steering puts a bump that is just
+  // above the threshold under it; a fallback is the exact-only search.
+  num::Rng rng(0x57ee7);
+  int certified = 0;
+  for (int i = 0; i < 300; ++i) {
+    const double zero = rng.uniform(3.0, 30.0);
+    const double peak = kThr * rng.uniform(0.3, 3.0);
+    const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+    const double bias = rng.uniform(-0.015, 0.015);
+    const double tol = i % 3 == 0 ? 0.1 : (i % 3 == 1 ? 0.25 : 1.0);
+    const Curve f = cap_choke_curve(zero, peak, sign);
+    const Curve steer = [&](double d) { return (1.0 + bias * std::cos(d / 10.0)) * f(d); };
+    SCOPED_TRACE(::testing::Message() << "zero " << zero << " peak " << peak / kThr
+                                      << "x bias " << bias << " tol " << tol);
+    const SteeredTrace run = steered_search(steer, f, tol);
+    const double r = run.out.distance.raw();
+    if (run.out.fell_back) {
+      EXPECT_EQ(r, search(f, kThr, kLo, kHi, tol).result);
+      continue;
+    }
+    ++certified;
+    EXPECT_LE(run.exact.size(), 2u);
+    const double exact = dense_crossing(f);
+    EXPECT_GE(r, exact - 1e-9);
+    EXPECT_LE(r, exact + tol);
+  }
+  // The finer the tolerance, the more often a 1.5% steering error moves the
+  // crossing by more than it: 56, 76 and 96 of 100 certify at tol 0.1, 0.25
+  // and 1.
+  EXPECT_GE(certified, 200);
+}
+
 // --- model pairs -----------------------------------------------------------
 
 struct Models {
@@ -308,15 +514,28 @@ const Models& models() {
 const emc::RuleDeriverOptions kFlowRules{kThr, Millimeters{kLo}, Millimeters{kHi},
                                          Millimeters{kTol}};
 
+// The flow's rule extractors: the exact one, and a coarse one on the same
+// cache that steers its searches.
+struct FlowExtractors {
+  peec::CouplingExtractor exact;
+  peec::CouplingExtractor coarse{peec::coarse_quadrature(exact.options()),
+                                 exact.kernel_options(), exact.cache()};
+
+  emc::RuleDeriver exact_only() const { return emc::RuleDeriver(exact, kFlowRules); }
+  emc::RuleDeriver steered() const { return emc::RuleDeriver(exact, kFlowRules, &coarse); }
+};
+
 TEST(RuleOracle, EveryModelPairWithinTolOfDenseOracle) {
   // Oracle: one 1025-point coupling_vs_distance batch over [d_lo, d_hi]
   // (0.19 mm cells). The crossing lies in the cell after the outermost
   // above-threshold grid point, so the rule must lie beyond that point and
   // at most tol past the cell's outer edge.
+  // Both searches are checked: the exact-only one and the flow's steered
+  // one; the steered search certifies every pair without falling back.
   const std::vector<emc::RuleDeriver::ModelPair> pairs = models().unique_pairs();
   ASSERT_GE(pairs.size(), 20u);
-  const peec::CouplingExtractor ex;
-  const emc::RuleDeriver deriver(ex, kFlowRules);
+  const FlowExtractors fx;
+  const peec::CouplingExtractor& ex = fx.exact;
   const std::size_t n = 1025;
   const double cell = (kHi - kLo) / static_cast<double>(n - 1);
   int bisection_nonconservative = 0;
@@ -333,14 +552,23 @@ TEST(RuleOracle, EveryModelPairWithinTolOfDenseOracle) {
         break;
       }
     }
-    const double pemd = deriver.derive(*a, *b).pemd.raw();
     SCOPED_TRACE(a->name + "-" + b->name);
-    if (any) {
-      EXPECT_GT(pemd, inside);
-      EXPECT_LE(pemd, inside + cell + kTol);
-    } else {
-      EXPECT_EQ(pemd, kLo);
+    emc::RuleSearchStats stats;
+    const emc::RuleDeriver::ModelPair pair{a, b};
+    for (const emc::RuleDeriver& deriver : {fx.exact_only(), fx.steered()}) {
+      const double pemd =
+          deriver.derive_pairs(std::span<const emc::RuleDeriver::ModelPair>(&pair, 1), &stats)
+              .front()
+              .pemd.raw();
+      if (any) {
+        EXPECT_GT(pemd, inside);
+        EXPECT_LE(pemd, inside + cell + kTol);
+      } else {
+        EXPECT_EQ(pemd, kLo);
+      }
     }
+    EXPECT_EQ(stats.fallbacks, 0u);
+    EXPECT_LE(stats.steer_max_rel_err, 0.02);
     const Curve abs_k = [&](double d) {
       return std::fabs(ex.coupling_at(*a, *b, Millimeters{d}));
     };
@@ -355,16 +583,19 @@ TEST(RuleOracle, EveryModelPairWithinTolOfDenseOracle) {
 
 // The regression that fails with bisection: beyond the rule, |k| never
 // comes back above the threshold (scanned every 0.25 mm out to d_hi).
+// Exact-only and steered.
 void expect_clear_beyond(const peec::ComponentFieldModel& a,
                          const peec::ComponentFieldModel& b) {
-  const peec::CouplingExtractor ex;
-  const double pemd = emc::RuleDeriver(ex, kFlowRules).derive(a, b).pemd.raw();
-  const std::size_t n = static_cast<std::size_t>((kHi - pemd) / 0.25) + 1;
-  const auto scan = ex.coupling_vs_distance(
-      a, b, Millimeters{pemd}, Millimeters{pemd + 0.25 * static_cast<double>(n - 1)}, n);
-  for (const auto& pt : scan) {
-    EXPECT_LE(pt.k, kThr) << a.name << "-" << b.name << " rule " << pemd << " mm, |k("
-                          << pt.distance.raw() << " mm)| = " << pt.k;
+  const FlowExtractors fx;
+  for (const emc::RuleDeriver& deriver : {fx.exact_only(), fx.steered()}) {
+    const double pemd = deriver.derive(a, b).pemd.raw();
+    const std::size_t n = static_cast<std::size_t>((kHi - pemd) / 0.25) + 1;
+    const auto scan = fx.exact.coupling_vs_distance(
+        a, b, Millimeters{pemd}, Millimeters{pemd + 0.25 * static_cast<double>(n - 1)}, n);
+    for (const auto& pt : scan) {
+      EXPECT_LE(pt.k, kThr) << a.name << "-" << b.name << " rule " << pemd << " mm, |k("
+                            << pt.distance.raw() << " mm)| = " << pt.k;
+    }
   }
 }
 
@@ -374,12 +605,13 @@ TEST(RuleOracle, BoostCapChokeRuleClearsTheBump) {
   const peec::ComponentFieldModel& cx2 = *boost.model_for_component("CX2");
   const peec::ComponentFieldModel& lf = *boost.model_for_component("LF");
   expect_clear_beyond(cx1, lf);
-  const peec::CouplingExtractor ex;
-  const emc::RuleDeriver deriver(ex, kFlowRules);
-  // The outermost crossing lies in [18.82, 19.02] mm (dense oracle).
-  EXPECT_GE(deriver.derive(cx1, lf).pemd.raw(), 18.82);
-  EXPECT_GE(deriver.derive(cx2, lf).pemd.raw(), 18.82);
-  EXPECT_LE(deriver.derive(cx1, lf).pemd.raw(), 19.02 + kTol);
+  const FlowExtractors fx;
+  for (const emc::RuleDeriver& deriver : {fx.exact_only(), fx.steered()}) {
+    // The outermost crossing lies in [18.82, 19.02] mm (dense oracle).
+    EXPECT_GE(deriver.derive(cx1, lf).pemd.raw(), 18.82);
+    EXPECT_GE(deriver.derive(cx2, lf).pemd.raw(), 18.82);
+    EXPECT_LE(deriver.derive(cx1, lf).pemd.raw(), 19.02 + kTol);
+  }
 }
 
 TEST(RuleOracle, LargeScenarioCapChokeRuleClearsTheBump) {
@@ -421,8 +653,8 @@ TEST(RuleDeriver, BitIdenticalAtOneAndFourLanes) {
   std::vector<std::vector<emc::MinDistanceRule>> tables;
   for (const std::size_t lanes : {1u, 4u}) {
     core::ThreadPool::set_global_thread_count(lanes);
-    const peec::CouplingExtractor ex;
-    tables.push_back(emc::RuleDeriver(ex, kFlowRules).derive_pairs(pairs));
+    const FlowExtractors fx;
+    tables.push_back(fx.steered().derive_pairs(pairs));
   }
   ASSERT_EQ(tables[0].size(), tables[1].size());
   for (std::size_t i = 0; i < tables[0].size(); ++i) {
@@ -432,9 +664,37 @@ TEST(RuleDeriver, BitIdenticalAtOneAndFourLanes) {
   }
 }
 
+TEST(RuleDeriver, StoppedSteeredSearchStoresNothing) {
+  // A stopped scope returns d_hi and leaves the shared cache untouched, so a
+  // later run derives the same rule as a fresh extractor.
+  const flow::BuckConverter& boost = models().boost;
+  const peec::ComponentFieldModel& cx1 = *boost.model_for_component("CX1");
+  const peec::ComponentFieldModel& lf = *boost.model_for_component("LF");
+  const FlowExtractors fx;
+  {
+    core::CancelToken token;
+    token.request_cancel();
+    core::CancelScope scope(core::Deadline::unlimited(), &token);
+    EXPECT_EQ(fx.exact.steered_min_distance(cx1, lf, kThr, Millimeters{kLo}, Millimeters{kHi},
+                                            Millimeters{kTol}, &fx.coarse)
+                  .distance.raw(),
+              kHi);
+  }
+  const peec::CacheTierStats touched = fx.exact.cache()->stats();
+  EXPECT_EQ(touched.self_hits + touched.self_misses + touched.mutual_hits +
+                touched.mutual_misses,
+            0u);
+  const FlowExtractors fresh;
+  EXPECT_EQ(fx.steered().derive(cx1, lf).pemd.raw(),
+            fresh.steered().derive(cx1, lf).pemd.raw());
+}
+
 TEST(RuleDeriver, FlowCountsItsRuleExtractions) {
-  // `rules.extractions` is the rule stage's own extractor misses; the
-  // bisection took 74 (buck) and 87 (boost).
+  // `rules.extractions` is the rule stage's own exact extractor misses: at
+  // most two per search once the coarse quadrature steers (the bisection
+  // took 74 on the buck and 87 on the boost, the exact-only outside-in
+  // search 38 and 44). Every search certifies, and the PWRLOOP pairs, whose
+  // k is round-off in the rule geometry, are null.
   for (const bool boost : {false, true}) {
     flow::BuckConverter bc =
         boost ? flow::make_boost_converter() : flow::make_buck_converter();
@@ -446,9 +706,22 @@ TEST(RuleDeriver, FlowCountsItsRuleExtractions) {
     opt.sweep_accel.surrogate = true;
     const flow::FlowResult res = flow::run_design_flow(bc, initial, opt);
     ASSERT_TRUE(res.complete);
+    SCOPED_TRACE(boost ? "boost" : "buck");
     const std::uint64_t extractions = res.profile.count("rules.extractions");
-    EXPECT_GT(extractions, 0u) << (boost ? "boost" : "buck");
-    EXPECT_LE(extractions, 60u) << (boost ? "boost" : "buck");
+    const std::uint64_t searches = res.profile.count("rules.searches");
+    EXPECT_EQ(searches, boost ? 10u : 8u);
+    EXPECT_GT(extractions, 0u);
+    EXPECT_LE(extractions, 2 * searches);
+    EXPECT_GT(res.profile.count("rules.steering_extractions"), extractions);
+    EXPECT_EQ(res.profile.count("rules.fallbacks"), 0u);
+    EXPECT_GT(res.profile.gauge("rules.steer_max_rel_err"), 0.0);
+    EXPECT_LE(res.profile.gauge("rules.steer_max_rel_err"), 0.02);
+    const auto pwrloop_rules = std::count_if(
+        res.rules.begin(), res.rules.end(), [](const emc::MinDistanceRule& r) {
+          return r.comp_a == "PWRLOOP" || r.comp_b == "PWRLOOP";
+        });
+    EXPECT_EQ(res.profile.count("rules.null_geometry"),
+              static_cast<std::uint64_t>(pwrloop_rules));
   }
 }
 
