@@ -182,41 +182,4 @@ std::vector<CouplingSensitivity> significant_pairs(
   return out;
 }
 
-std::vector<GeometricCoupling> rank_geometric_coupling(
-    const peec::CouplingExtractor& extractor,
-    std::span<const peec::PlacedModel> models,
-    std::span<const std::string> names) {
-  const std::size_t n = models.size();
-  if (names.size() != n) {
-    throw std::invalid_argument("rank_geometric_coupling: names/models size mismatch");
-  }
-  if (n < 2) return {};
-
-  // One batched extraction for the whole matrix: self terms on the diagonal,
-  // mutuals off it, deduplicated by canonical relative pose. The prescreen
-  // only ranks magnitudes, so it tolerates the clustered error bound; the
-  // clustered entry point is mutual_matrix bit-for-bit unless the
-  // extractor's kernel options opted in.
-  const std::vector<units::Henry> m = extractor.mutual_matrix_clustered(models);
-
-  std::vector<GeometricCoupling> out;
-  out.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double li = m[i * n + i].raw();
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double lj = m[j * n + j].raw();
-      const double k = (li <= 0.0 || lj <= 0.0)
-                           ? 0.0
-                           : m[i * n + j].raw() / std::sqrt(li * lj);
-      out.push_back({names[i], names[j], std::fabs(k)});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.k_abs != b.k_abs) return a.k_abs > b.k_abs;
-    if (a.inductor_a != b.inductor_a) return a.inductor_a < b.inductor_a;
-    return a.inductor_b < b.inductor_b;
-  });
-  return out;
-}
-
 }  // namespace emi::emc

@@ -6,12 +6,10 @@
 // calculation of a whole circuit feasible".
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "src/emi/emission.hpp"
-#include "src/peec/coupling.hpp"
 #include "src/sweep/options.hpp"
 
 namespace emi::emc {
@@ -62,23 +60,5 @@ SensitivityReport rank_coupling_sensitivity_report(
 // the pairs worth a field simulation.
 std::vector<CouplingSensitivity> significant_pairs(
     const std::vector<CouplingSensitivity>& ranked, double threshold_db);
-
-// A pair ranked purely by placed-geometry coupling magnitude.
-struct GeometricCoupling {
-  std::string inductor_a;
-  std::string inductor_b;
-  double k_abs = 0.0;  // |M| / sqrt(La * Lb) at the placed poses
-};
-
-// Geometry-only prescreen: rank every model pair by |k| using one batched
-// PEEC extraction (CouplingExtractor::mutual_matrix) - no circuit
-// simulation. `names[i]` labels `models[i]`; both spans must be the same
-// length. Sorted descending by |k|, ties broken by name for a deterministic
-// order. The flow uses this to drop geometrically negligible pairs before
-// the per-pair emission sweeps of rank_coupling_sensitivity.
-std::vector<GeometricCoupling> rank_geometric_coupling(
-    const peec::CouplingExtractor& extractor,
-    std::span<const peec::PlacedModel> models,
-    std::span<const std::string> names);
 
 }  // namespace emi::emc

@@ -150,21 +150,10 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
        << dbits(p.rot_deg) << ' ' << p.board << ' ' << (p.placed ? 1 : 0) << '\n';
   }
   ss << "quad " << opt.quadrature.order << ' ' << opt.quadrature.subdivisions << '\n';
-  // Kernel gates and the batched-extraction knobs change extracted values /
-  // pair selection / placement costs, so they are part of the context: a
-  // checkpoint written under different gates must not be resumed.
-  ss << "kern " << (opt.kernel.analytic_parallel ? 1 : 0) << ' '
-     << (opt.kernel.far_field ? 1 : 0) << ' ' << dbits(opt.kernel.far_field_ratio)
-     << ' ' << (opt.geometric_prescreen ? 1 : 0) << ' '
-     << (opt.coupling_aware_placement ? 1 : 0) << ' ' << dbits(opt.w_coupling)
-     << '\n';
-  // Clustered extraction changes computed mutuals, so its configuration
-  // joins the context - but only when enabled, keeping every pre-cluster
-  // checkpoint digest (and the default-options digest) byte-identical.
-  if (opt.kernel.cluster) {
-    ss << "clus " << dbits(opt.kernel.cluster_theta) << ' '
-       << opt.kernel.cluster_leaf_segments << '\n';
-  }
+  // The retired kernel-gate and prescreen/coupling-placement options at
+  // their fixed former defaults (off, off, far-field ratio 8.0, off, off,
+  // w_coupling 50.0), kept so checkpoints written by older builds resume.
+  ss << "kern 0 0 4020000000000000 0 0 4049000000000000\n";
   ss << "sweep " << dbits(opt.sweep.f_min_hz) << ' ' << dbits(opt.sweep.f_max_hz)
      << ' ' << opt.sweep.n_points << '\n';
   // Sweep acceleration changes computed spectra (interpolated / coupling-

@@ -7,7 +7,6 @@
 #include "src/core/deadline.hpp"
 #include "src/core/fault_injection.hpp"
 #include "src/core/parallel.hpp"
-#include "src/peec/cluster_tree.hpp"
 
 namespace emi::peec {
 
@@ -124,15 +123,6 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
       geom::rotate_z(c.second->pose.position - c.first->pose.position,
                      geom::deg_to_rad(-c.first->pose.rot_deg));
   c.stray = a.model->stray_scale * b.model->stray_scale;
-  // Clustering changes computed bits, so its whole configuration joins the
-  // key: a flag bit plus a digest of (theta, leaf size). Both stay zero with
-  // clustering off, keeping default-extractor keys identical to older builds.
-  std::uint64_t kern_cluster = 0;
-  if (kernel_.cluster) {
-    kern_cluster = fnv1a(kFnvOffset, kernel_.cluster_theta);
-    kern_cluster = fnv1a(
-        kern_cluster, static_cast<std::uint64_t>(kernel_.cluster_leaf_segments));
-  }
   c.key = MutualCacheKey{dlo,
                          dhi,
                          std::bit_cast<std::uint64_t>(c.rel_pos.x),
@@ -140,12 +130,7 @@ CouplingExtractor::CanonicalPair CouplingExtractor::canonicalize(
                          std::bit_cast<std::uint64_t>(c.rel_pos.z),
                          std::bit_cast<std::uint64_t>(c.rel_rot),
                          (static_cast<std::uint64_t>(opt_.order) << 32) |
-                             static_cast<std::uint64_t>(opt_.subdivisions),
-                         (kernel_.analytic_parallel ? 1ull : 0ull) |
-                             (kernel_.far_field ? 2ull : 0ull) |
-                             (kernel_.cluster ? 4ull : 0ull),
-                         std::bit_cast<std::uint64_t>(kernel_.far_field_ratio),
-                         kern_cluster};
+                             static_cast<std::uint64_t>(opt_.subdivisions)};
   return c;
 }
 
@@ -154,9 +139,7 @@ double CouplingExtractor::compute_mutual_air(const CanonicalPair& c) const {
   // the key: a concurrent duplicate computation lands on identical bits.
   const SegmentPath pf = c.first->model->path_at(Pose{});
   const SegmentPath ps = c.second->model->path_at(Pose{c.rel_pos, c.rel_rot});
-  // path_mutual_clustered is path_mutual when kernel_.cluster is off (same
-  // bits), so one dispatch point serves both modes.
-  return path_mutual_clustered(pf, ps, opt_, kernel_);
+  return path_mutual(pf, ps, opt_);
 }
 
 Henry CouplingExtractor::mutual(const PlacedModel& a, const PlacedModel& b) const {
@@ -322,17 +305,6 @@ std::vector<Henry> CouplingExtractor::mutual_matrix(
     m[i * n + i] = self_inductance(*models[i].model);
   }
   return m;
-}
-
-std::vector<Henry> CouplingExtractor::mutual_matrix_clustered(
-    std::span<const PlacedModel> models) const {
-  // Clustering engages inside compute_mutual_air whenever the extractor's
-  // KernelOptions ask for it, so the matrix build itself is shared: same
-  // canonicalization, batching, caching and parallel schedule. The separate
-  // entry point exists to make call sites that tolerate the clustered error
-  // bound explicit (and future-proof against matrix-level acceleration);
-  // with clustering off it is mutual_matrix, bit for bit.
-  return mutual_matrix(models);
 }
 
 double CouplingExtractor::coupling_factor(const PlacedModel& a,

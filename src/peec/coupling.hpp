@@ -59,23 +59,18 @@ struct ExtractionCacheStats {
 
 class CouplingExtractor {
  public:
-  // `kernel` gates the approximate pair fast paths (partial_inductance.hpp).
-  // The default keeps the exact kernel, so default-constructed extractors
-  // return bit-identical values to older builds; kernel options are part of
-  // every mutual cache key, so extractors with different gates never share
-  // entries. `cache` optionally injects a shared (possibly tiered)
-  // ExtractionCache - null keeps a fresh private cache, the pre-split
-  // behavior. Quadrature and kernel configuration are baked into every key,
-  // so differently-configured extractors can share one cache safely.
-  explicit CouplingExtractor(QuadratureOptions opt = {}, KernelOptions kernel = {},
+  // `cache` optionally injects a shared (possibly tiered) ExtractionCache -
+  // null keeps a fresh private cache, the pre-split behavior. The quadrature
+  // is baked into every key, so differently-configured extractors can share
+  // one cache safely. The KernelOptions argument is empty and ignored (see
+  // partial_inductance.hpp).
+  explicit CouplingExtractor(QuadratureOptions opt = {}, KernelOptions = {},
                              std::shared_ptr<ExtractionCache> cache = nullptr)
       : opt_(opt),
-        kernel_(kernel),
         cache_(cache != nullptr ? std::move(cache)
                                 : std::make_shared<ExtractionCache>()) {}
 
   const QuadratureOptions& options() const { return opt_; }
-  const KernelOptions& kernel_options() const { return kernel_; }
   const std::shared_ptr<ExtractionCache>& cache() const { return cache_; }
 
   // Mutual-cache capacity. Insertion past the cap evicts the
@@ -112,15 +107,6 @@ class CouplingExtractor {
   // mutual_batch over the upper triangle (mirrored; mutual() is symmetric
   // bit-for-bit by canonicalization).
   std::vector<Henry> mutual_matrix(std::span<const PlacedModel> models) const;
-
-  // Coupling matrix for callers that opted into hierarchical clustering
-  // (KernelOptions::cluster): admitted well-separated cluster pairs are
-  // served by aggregated dipole moments within the documented theta error
-  // bound (cluster_tree.hpp), everything else stays pair-exact. With
-  // clustering disabled this IS mutual_matrix - same bits - so call sites
-  // may use it unconditionally and let the kernel options decide.
-  std::vector<Henry> mutual_matrix_clustered(
-      std::span<const PlacedModel> models) const;
 
   // Convenience: k with model A at the origin (rotation rot_a_deg) and model
   // B at center distance d along +x (rotation rot_b_deg).
@@ -208,7 +194,6 @@ class CouplingExtractor {
   std::uint64_t self_key(std::uint64_t model_digest) const;
 
   QuadratureOptions opt_;
-  KernelOptions kernel_;
   // Shared (possibly tiered) storage; never null. The per-extractor hit/miss
   // counters below account *this extractor's* traffic (hit = served from any
   // tier) - exactly the pre-split cache_stats() semantics - while per-tier

@@ -25,9 +25,12 @@ std::size_t MutualCacheKeyHash::operator()(const MutualCacheKey& k) const {
   h = fnv1a(h, k.tz);
   h = fnv1a(h, k.rot);
   h = fnv1a(h, k.quad);
-  h = fnv1a(h, k.kern);
-  h = fnv1a(h, k.kern_ratio);
-  h = fnv1a(h, k.kern_cluster);
+  // The retired kernel-gate fields, folded in at their fixed former values
+  // (flags 0, far-field ratio 8.0, cluster digest 0), so the hash - and with
+  // it the cache fault-injection keys - matches older builds.
+  h = fnv1a(h, std::uint64_t{0});
+  h = fnv1a(h, std::uint64_t{0x4020000000000000});
+  h = fnv1a(h, std::uint64_t{0});
   return static_cast<std::size_t>(h);
 }
 

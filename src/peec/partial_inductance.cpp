@@ -15,10 +15,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_sample_evals{0};
 std::atomic<std::uint64_t> g_exact_pairs{0};
-std::atomic<std::uint64_t> g_analytic_pairs{0};
-std::atomic<std::uint64_t> g_far_field_pairs{0};
-std::atomic<std::uint64_t> g_cluster_pairs{0};
-std::atomic<std::uint64_t> g_cluster_skipped{0};
 
 }  // namespace
 
@@ -29,23 +25,9 @@ void tally_exact_pair(std::uint64_t sample_evals) {
   g_exact_pairs.fetch_add(1, std::memory_order_relaxed);
 }
 
-void tally_analytic_pair() { g_analytic_pairs.fetch_add(1, std::memory_order_relaxed); }
-
-void tally_far_field_pair() {
-  g_far_field_pairs.fetch_add(1, std::memory_order_relaxed);
-}
-
-void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals,
-                 std::uint64_t analytic_pairs, std::uint64_t far_field_pairs) {
+void tally_pairs(std::uint64_t exact_pairs, std::uint64_t sample_evals) {
   if (sample_evals != 0) g_sample_evals.fetch_add(sample_evals, std::memory_order_relaxed);
   if (exact_pairs != 0) g_exact_pairs.fetch_add(exact_pairs, std::memory_order_relaxed);
-  if (analytic_pairs != 0) g_analytic_pairs.fetch_add(analytic_pairs, std::memory_order_relaxed);
-  if (far_field_pairs != 0) g_far_field_pairs.fetch_add(far_field_pairs, std::memory_order_relaxed);
-}
-
-void tally_cluster(std::uint64_t cluster_pairs, std::uint64_t cluster_skipped) {
-  if (cluster_pairs != 0) g_cluster_pairs.fetch_add(cluster_pairs, std::memory_order_relaxed);
-  if (cluster_skipped != 0) g_cluster_skipped.fetch_add(cluster_skipped, std::memory_order_relaxed);
 }
 
 }  // namespace detail
@@ -54,10 +36,6 @@ KernelStats kernel_stats() {
   KernelStats s;
   s.sample_evals = g_sample_evals.load(std::memory_order_relaxed);
   s.exact_pairs = g_exact_pairs.load(std::memory_order_relaxed);
-  s.analytic_pairs = g_analytic_pairs.load(std::memory_order_relaxed);
-  s.far_field_pairs = g_far_field_pairs.load(std::memory_order_relaxed);
-  s.cluster_pairs = g_cluster_pairs.load(std::memory_order_relaxed);
-  s.cluster_skipped = g_cluster_skipped.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -178,11 +156,11 @@ double path_inductance(const SegmentPath& path, const QuadratureOptions& opt) {
 }
 
 double path_mutual(const SegmentPath& p1, const SegmentPath& p2,
-                   const QuadratureOptions& opt, const KernelOptions& kopt) {
+                   const QuadratureOptions& opt) {
   if (p1.segments.empty() || p2.segments.empty()) return 0.0;
   const SampledPath a = sample_path(p1, opt);
   const SampledPath b = sample_path(p2, opt);
-  return path_mutual_sampled(a, b, kopt);
+  return path_mutual_sampled(a, b);
 }
 
 double path_mutual_legacy(const SegmentPath& p1, const SegmentPath& p2,

@@ -93,16 +93,27 @@ class Search {
     });
   }
 
-  // Samples i and i + 1 of opposite sign (both under the threshold, or an
-  // inside point above it) enclose a zero and the outer branch's peak. The
-  // gap is worth probing only if the steepest admitted power law through
+  // Samples i and i + 1 may enclose the peak of a bump in two ways:
+  //   * they have opposite signs (both under the threshold, or an inside
+  //     point above it): they enclose a zero and the outer branch's peak;
+  //   * they have the same sign, both under the threshold, and |k| stops
+  //     rising inward at the inner one (its inward neighbour is smaller or
+  //     of the other sign): the inner sample may lie past the peak. A march
+  //     trial that assumed too shallow a tail lands there, between the bump
+  //     and its zero, without any sign change to show the bump.
+  // The gap is worth probing only if the steepest admitted power law through
   // the outer sample could reach the threshold inside it, and unless that
   // sample sits on the bump's rising flank (its same-sign outward neighbour
   // is larger), which puts the peak outward of the gap.
   bool may_hide_bump(std::size_t i) const {
     const Sample& a = samples_[i];
     const Sample& b = samples_[i + 1];
-    if (a.k * b.k > 0.0 || b.k == 0.0) return false;
+    if (b.k == 0.0) return false;
+    if (a.k * b.k > 0.0) {
+      if (i == 0 || above(a)) return false;
+      const Sample& w = samples_[i - 1];
+      if (w.k * a.k > 0.0 && std::fabs(w.k) >= std::fabs(a.k)) return false;
+    }
     if (b.d - a.d <= tol_ || cleared(a.d, b.d)) return false;
     if (i + 2 < samples_.size()) {
       const Sample& c = samples_[i + 2];

@@ -6,7 +6,7 @@
 // is amortized across every later client asking for the same geometry.
 //
 // Sharing is safe by construction: cache values are pure functions of their
-// keys (canonical pose + quadrature + kernel gates baked in), so the global
+// keys (canonical pose + quadrature baked in), so the global
 // tier can be populated by any mix of sessions in any order without
 // changing a single result bit. That property is what lets the service
 // promise "identical jobs are bit-identical regardless of queue

@@ -7,8 +7,8 @@
 // dense exact path, bit-identical to older builds. `adaptive` is the switch;
 // `surrogate` only refines what the adaptive path does with the per-pair
 // sensitivity sweeps. The flow forwards one SweepAccel through FlowOptions;
-// it joins the checkpoint context digest (conditionally, like
-// KernelOptions::cluster) because enabling it changes computed spectra.
+// it joins the checkpoint context digest (only when enabled) because
+// enabling it changes computed spectra.
 #pragma once
 
 #include <algorithm>

@@ -187,6 +187,24 @@ TEST(RuleSearch, SteepTailOvershootIntoSignChangeIsProbed) {
   EXPECT_LE(run.result, exact + kTol);
 }
 
+TEST(RuleSearch, SteepTailOvershootPastThePeakIsProbed) {
+  // The same curve scaled by 1.2 peaks at 0.026 at 13.4 mm and crosses the
+  // threshold at 21.3 mm. The first d^-3 trial from d_hi lands at 11.0 mm:
+  // past the peak but outside the zero (10.7 mm), so it has d_hi's sign and
+  // is under the threshold, and no sign change shows the bump. Only |k|
+  // falling again inward of that sample does.
+  const Curve f = [](double d) {
+    return 1.2 * (6.05 / (d * d * d) - 3638.0 / (d * d * d * d) +
+                  38277.0 / (d * d * d * d * d));
+  };
+  const Trace run = search(f);
+  expect_contract(f, run);
+  const double exact = dense_crossing(f);
+  EXPECT_GT(exact, 21.0);
+  EXPECT_GE(run.result, exact);
+  EXPECT_LE(run.result, exact + kTol);
+}
+
 TEST(RuleSearch, UnderThresholdEverywhereReturnsLowEnd) {
   const Curve f = [](double d) { return 1e-3 * std::pow(kLo / d, 3.0); };
   const Trace run = search(f);
@@ -519,7 +537,7 @@ const emc::RuleDeriverOptions kFlowRules{kThr, Millimeters{kLo}, Millimeters{kHi
 struct FlowExtractors {
   peec::CouplingExtractor exact;
   peec::CouplingExtractor coarse{peec::coarse_quadrature(exact.options()),
-                                 exact.kernel_options(), exact.cache()};
+                                 {}, exact.cache()};
 
   emc::RuleDeriver exact_only() const { return emc::RuleDeriver(exact, kFlowRules); }
   emc::RuleDeriver steered() const { return emc::RuleDeriver(exact, kFlowRules, &coarse); }

@@ -132,42 +132,5 @@ TEST(Rules, StricterThresholdLargerDistance) {
   EXPECT_GT(strict.derive(c1, c2).pemd.raw(), loose.derive(c1, c2).pemd.raw());
 }
 
-TEST(GeometricCoupling, RanksCloseParallelPairFirst) {
-  const peec::ComponentFieldModel cx1 = peec::x_capacitor("CX1");
-  const peec::ComponentFieldModel cx2 = peec::x_capacitor("CX2");
-  const peec::ComponentFieldModel cx3 = peec::x_capacitor("CX3");
-  const std::vector<peec::PlacedModel> models = {
-      {&cx1, {{0.0, 0.0, 0.0}, 0.0}},
-      {&cx2, {{18.0, 0.0, 0.0}, 0.0}},   // close, parallel: strong pair
-      {&cx3, {{90.0, 60.0, 0.0}, 0.0}},  // far away: weak against both
-  };
-  const std::vector<std::string> names = {"L_C1", "L_C2", "L_C3"};
-  const peec::CouplingExtractor ex;
-  const std::vector<GeometricCoupling> ranked =
-      rank_geometric_coupling(ex, models, names);
-  ASSERT_EQ(ranked.size(), 3u);  // n(n-1)/2
-  EXPECT_EQ(ranked[0].inductor_a, "L_C1");
-  EXPECT_EQ(ranked[0].inductor_b, "L_C2");
-  EXPECT_GT(ranked[0].k_abs, ranked[1].k_abs);
-  EXPECT_GT(ranked[0].k_abs, 0.0);
-  for (std::size_t i = 1; i < ranked.size(); ++i) {
-    EXPECT_GE(ranked[i - 1].k_abs, ranked[i].k_abs);  // sorted descending
-  }
-  // |k| matches the extractor's own per-pair coupling factor.
-  EXPECT_NEAR(ranked[0].k_abs, std::fabs(ex.coupling_factor(models[0], models[1])),
-              1e-15);
-}
-
-TEST(GeometricCoupling, ValidatesAndHandlesDegenerateInput) {
-  const peec::ComponentFieldModel cx1 = peec::x_capacitor("CX1");
-  const std::vector<peec::PlacedModel> one = {{&cx1, {{0.0, 0.0, 0.0}, 0.0}}};
-  const std::vector<std::string> one_name = {"L_C1"};
-  const peec::CouplingExtractor ex;
-  EXPECT_TRUE(rank_geometric_coupling(ex, one, one_name).empty());
-  const std::vector<std::string> wrong = {"A", "B"};
-  EXPECT_THROW((void)rank_geometric_coupling(ex, one, wrong),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace emi::emc

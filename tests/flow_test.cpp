@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/emi/cispr25.hpp"
+#include "src/emi/emission.hpp"
 #include "src/emi/measurement.hpp"
 #include "src/flow/buck_converter.hpp"
 #include "src/flow/demo_board.hpp"
@@ -166,66 +171,59 @@ TEST(DesignFlow, NoPruningSimulatesAllPairs) {
   EXPECT_EQ(res.simulated_pairs.size(), 21u);  // 7 choose 2
 }
 
+// Largest gap over frequency, in dB, between the emission predicted with
+// only the couplings sensitivity selected for field simulation and with
+// every inductor pair's coupling installed.
+double pruning_gap_db(const BuckConverter& bc, const place::Layout& layout,
+                      const FlowResult& res, const FlowOptions& opt) {
+  const peec::CouplingExtractor ex(opt.quadrature);
+  const auto predict = [&](const std::vector<std::pair<std::string, std::string>>& pairs) {
+    return emc::conducted_emission(circuit_with_couplings(bc, layout, ex, opt.k_min, pairs),
+                                   bc.meas_node, bc.noise, opt.sweep);
+  };
+  const emc::EmissionSpectrum pruned = predict(res.simulated_pairs);
+  const emc::EmissionSpectrum full = predict({});  // empty = every pair
+  double gap = 0.0;
+  for (std::size_t i = 0; i < full.level_dbuv.size(); ++i) {
+    gap = std::max(gap, std::fabs(pruned.level_dbuv[i] - full.level_dbuv[i]));
+  }
+  return gap;
+}
+
+TEST(DesignFlow, SensitivityPruningErrsLessThanItsThreshold) {
+  // Pruning skips the field simulation of pairs whose coupling moves the
+  // emission by less than sensitivity_threshold_db on their own. Together,
+  // the pruned couplings must still move the prediction by less than that,
+  // on the initial layout and on the placed one (measured: buck 0.89 and
+  // 0.17 dB, boost 0.00 and 0.002 dB).
+  for (const bool boost : {false, true}) {
+    BuckConverter bc = boost ? make_boost_converter() : make_buck_converter();
+    const place::Layout initial =
+        boost ? boost_layout_unfavorable(bc) : layout_unfavorable(bc);
+    FlowOptions opt;
+    opt.sweep.n_points = 60;
+    const FlowResult res = run_design_flow(bc, initial, opt);
+    ASSERT_TRUE(res.complete);
+    ASSERT_FALSE(res.simulated_pairs.empty());
+    ASSERT_GT(res.field_solves_saved, 0u);
+    for (const place::Layout* layout : {&initial, &res.improved_layout}) {
+      const double gap = pruning_gap_db(bc, *layout, res, opt);
+      EXPECT_LT(gap, opt.sensitivity_threshold_db)
+          << (boost ? "boost" : "buck") << (layout == &initial ? " initial" : " improved");
+    }
+  }
+}
+
 TEST(DesignFlow, SurfacesKernelCountersInProfile) {
   BuckConverter bc = make_buck_converter();
   FlowOptions opt;
   opt.sweep.n_points = 30;
   const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
   // The extraction work of this run, as deltas of the process-wide kernel
-  // counters. Default options: everything runs the exact path.
-  EXPECT_GT(res.profile.count("peec.kernel_sample_evals"), 0u);
+  // counters: every integrated segment pair costs at least one sample.
   EXPECT_GT(res.profile.count("peec.kernel_exact_pairs"), 0u);
-  EXPECT_EQ(res.profile.count("peec.kernel_analytic_pairs"), 0u);
-  EXPECT_EQ(res.profile.count("peec.kernel_far_field_pairs"), 0u);
-  // Clustered extraction is opt-in; a default run must surface its counters
-  // as zero (the bit-identity guard for exact-by-default extraction).
-  EXPECT_EQ(res.profile.count("peec.kernel_cluster_pairs"), 0u);
-  EXPECT_EQ(res.profile.count("peec.kernel_cluster_skipped"), 0u);
-}
-
-TEST(DesignFlow, ClusteredKernelOptInCompletesAndSurfacesCounters) {
-  // Same flow with hierarchical clustering enabled at a permissive theta:
-  // the run must complete and the FlowResult profile must carry the cluster
-  // counter deltas (nonzero whenever any model pair was far enough apart to
-  // admit - the unfavorable layout spreads components across the board).
-  BuckConverter bc = make_buck_converter();
-  FlowOptions opt;
-  opt.sweep.n_points = 30;
-  opt.kernel.cluster = true;
-  opt.kernel.cluster_theta = 2.5;
-  opt.geometric_prescreen = true;
-  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
-  EXPECT_TRUE(res.complete);
-  EXPECT_GT(res.profile.count("peec.kernel_cluster_pairs"), 0u);
-  EXPECT_GT(res.profile.count("peec.kernel_cluster_skipped"), 0u);
-}
-
-TEST(DesignFlow, FastPathAndBatchedOptInsCompleteAndStayClose) {
-  BuckConverter ref_bc = make_buck_converter();
-  FlowOptions ref_opt;
-  ref_opt.sweep.n_points = 30;
-  const FlowResult ref = run_design_flow(ref_bc, layout_unfavorable(ref_bc), ref_opt);
-
-  BuckConverter bc = make_buck_converter();
-  FlowOptions opt;
-  opt.sweep.n_points = 30;
-  opt.kernel.analytic_parallel = true;
-  opt.kernel.far_field = true;
-  opt.geometric_prescreen = true;
-  opt.coupling_aware_placement = true;
-  const FlowResult res = run_design_flow(bc, layout_unfavorable(bc), opt);
-
-  EXPECT_TRUE(res.complete);
-  EXPECT_TRUE(res.drc_improved.clean());
-  EXPECT_EQ(res.place_stats.failed, 0u);
-  // The fast-path gates fired somewhere in the run, and the flow still
-  // reaches a comparable improvement (the approximations are percent-level).
-  EXPECT_GT(res.profile.count("peec.kernel_analytic_pairs") +
-                res.profile.count("peec.kernel_far_field_pairs"),
-            0u);
-  EXPECT_GT(res.peak_improvement_db, 10.0);
-  EXPECT_NEAR(res.initial_prediction.level_dbuv.front(),
-              ref.initial_prediction.level_dbuv.front(), 3.0);
+  EXPECT_GE(res.profile.count("peec.kernel_sample_evals"),
+            res.profile.count("peec.kernel_exact_pairs"));
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -239,23 +241,18 @@ TEST_F(MutualCacheTest, MutualMatrixSymmetricWithSelfDiagonal) {
   }
 }
 
-TEST_F(MutualCacheTest, KernelOptionsSeparateCachedValues) {
-  KernelOptions fast;
-  fast.analytic_parallel = true;
-  fast.far_field = true;
-  fast.far_field_ratio = 4.0;
-  const CouplingExtractor ex_fast(QuadratureOptions{}, fast);
-  // Far pair: the fast extractor reroutes it, the exact one does not; the
-  // kernel gates are part of the key, so the two extractors never share
-  // entries even for the same geometry.
-  const PlacedModel a{&ca_, {{0.0, 0.0, 0.0}, 0.0}};
-  const PlacedModel b{&cb_, {{180.0, 0.0, 0.0}, 0.0}};
-  const double exact = ex_.mutual(a, b).raw();
-  const double approx = ex_fast.mutual(a, b).raw();
-  EXPECT_EQ(ex_.cache_stats().mutual_misses, 1u);
-  EXPECT_EQ(ex_fast.cache_stats().mutual_misses, 1u);
-  // Approximation is close (far-field bound) but not the same bits.
-  EXPECT_NEAR(approx, exact, std::fabs(exact) * 0.1 + 1e-18);
+TEST_F(MutualCacheTest, KeyHashPinnedToOlderBuilds) {
+  // Cache fault injection (EMI_FAULT_INJECT=cache:...) keys on this hash, so
+  // it must not move: a fixed key hashes to the value older builds computed,
+  // retired kernel-gate fields included at their former defaults.
+  const MutualCacheKey key{0x0123456789abcdefull,
+                           0xfedcba9876543210ull,
+                           std::bit_cast<std::uint64_t>(12.5),
+                           std::bit_cast<std::uint64_t>(-3.0),
+                           std::bit_cast<std::uint64_t>(0.0),
+                           std::bit_cast<std::uint64_t>(90.0),
+                           (std::uint64_t{6} << 32) | 2u};
+  EXPECT_EQ(MutualCacheKeyHash{}(key), std::size_t{0x4b1090d88fb16fdeull});
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // under `ctest -L large`: determinism (seeded fingerprint and stage-prefix
 // stability), DRC-clean-by-construction output, the segment-count floor the
 // scaling benchmark relies on, and a capped-N end-to-end run of the
-// extraction pipeline - exact vs clustered matrix, error bound, counters
-// and the geometric prescreen - over the generated grid.
+// extraction pipeline - symmetry, per-call agreement and schedule
+// independence of the exact matrix - over the generated grid.
 #include "src/flow/scenario_large.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +11,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/emi/sensitivity.hpp"
-#include "src/peec/cluster_tree.hpp"
+#include "src/core/thread_pool.hpp"
+#include "src/peec/coupling.hpp"
 #include "src/place/drc.hpp"
 
 namespace emi::flow {
@@ -23,13 +23,6 @@ LargeScenarioOptions opts(std::size_t stages, std::uint64_t seed = 1) {
   o.n_stages = stages;
   o.seed = seed;
   return o;
-}
-
-peec::KernelOptions clustered(double theta) {
-  peec::KernelOptions k;
-  k.cluster = true;
-  k.cluster_theta = theta;
-  return k;
 }
 
 TEST(ScenarioLarge, FingerprintIsDeterministicPerSeed) {
@@ -86,51 +79,40 @@ TEST(ScenarioLarge, RejectsDrcUnsafeOptions) {
   EXPECT_THROW(make_large_scenario(bad), std::invalid_argument);
 }
 
-TEST(ScenarioLarge, CappedEndToEndExactVsClustered) {
-  // Six stages (~390 segments): full clustered matrix extraction over the
-  // grid, compared entry-by-entry against the exact matrix within the
-  // per-pair documented bound, with cluster counters actually engaged, plus
-  // the geometric prescreen running on the clustered extractor.
+TEST(ScenarioLarge, CappedEndToEndExactMatrix) {
+  // Six stages (~390 segments): full matrix extraction over the grid. The
+  // matrix is symmetric bit for bit, its diagonal is the self inductances,
+  // every entry matches the per-call mutual, and a serial run reproduces the
+  // parallel one exactly.
   const LargeScenario s = make_large_scenario(opts(6));
   const peec::QuadratureOptions quad{4, 2};
-  const peec::CouplingExtractor exact(quad);
-  const peec::CouplingExtractor clus(quad, clustered(4.0));
+  const peec::CouplingExtractor ex(quad);
 
   const peec::KernelStats before = peec::kernel_stats();
-  const std::vector<units::Henry> m_exact = exact.mutual_matrix(s.placed);
-  const std::vector<units::Henry> m_clus =
-      clus.mutual_matrix_clustered(s.placed);
+  const std::vector<units::Henry> m = ex.mutual_matrix(s.placed);
   const peec::KernelStats after = peec::kernel_stats();
-  EXPECT_GT(after.cluster_pairs, before.cluster_pairs);
-  EXPECT_GT(after.cluster_skipped, before.cluster_skipped);
+  EXPECT_GT(after.exact_pairs, before.exact_pairs);
 
   const std::size_t n = s.placed.size();
-  ASSERT_EQ(m_exact.size(), n * n);
-  ASSERT_EQ(m_clus.size(), n * n);
+  ASSERT_EQ(m.size(), n * n);
+  const peec::CouplingExtractor fresh(quad);
   for (std::size_t i = 0; i < n; ++i) {
-    // Self terms never cluster.
-    EXPECT_EQ(m_exact[i * n + i].raw(), m_clus[i * n + i].raw());
+    EXPECT_GT(m[i * n + i].raw(), 0.0);
+    EXPECT_EQ(m[i * n + i].raw(), fresh.self_inductance(*s.placed[i].model).raw());
     for (std::size_t j = i + 1; j < n; ++j) {
-      // Symmetry survives clustering (canonicalization computes one key).
-      EXPECT_EQ(m_clus[i * n + j].raw(), m_clus[j * n + i].raw());
-      // The matrix entry carries the models' stray scaling; the air-side
-      // error bound for this pair comes from the stats entry point.
-      const peec::ClusteredMutual cm = peec::path_mutual_clustered_stats(
-          s.placed[i].model->path_at(s.placed[i].pose),
-          s.placed[j].model->path_at(s.placed[j].pose), quad, clustered(4.0));
-      const double stray = s.placed[i].model->stray_scale *
-                           s.placed[j].model->stray_scale;
-      EXPECT_LE(std::fabs(m_clus[i * n + j].raw() - m_exact[i * n + j].raw()),
-                stray * cm.error_bound + 1e-18)
+      EXPECT_EQ(m[i * n + j].raw(), m[j * n + i].raw());
+      EXPECT_EQ(m[i * n + j].raw(), fresh.mutual(s.placed[j], s.placed[i]).raw())
           << "pair " << i << "," << j;
     }
   }
 
-  // The prescreen (the flow's batched probe call site) runs on the
-  // clustered extractor and ranks every pair.
-  const std::vector<emc::GeometricCoupling> ranked =
-      emc::rank_geometric_coupling(clus, s.placed, s.names);
-  EXPECT_EQ(ranked.size(), n * (n - 1) / 2);
+  std::vector<units::Henry> serial;
+  {
+    core::ScopedSerialFallback fallback;
+    serial = peec::CouplingExtractor(quad).mutual_matrix(s.placed);
+  }
+  ASSERT_EQ(serial.size(), m.size());
+  for (std::size_t k = 0; k < m.size(); ++k) EXPECT_EQ(serial[k].raw(), m[k].raw());
 }
 
 }  // namespace
