@@ -1,9 +1,8 @@
 // Performance: PEEC extraction primitives. Scaling of the Neumann double
 // sum with model complexity, self-inductance caching, field-map rendering,
 // a full AC emission sweep, and the pair-kernel microbenchmarks behind
-// BENCH_peec_kernel.json (legacy nested quadrature vs the sampled SoA
-// kernel, serial and parallel, plus batched extraction vs per-call
-// extraction).
+// BENCH_peec_kernel.json (the pair kernel with and without path sampling,
+// serial and parallel, plus batched extraction vs per-call extraction).
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -39,15 +38,6 @@ const KernelBenchFixture& kernel_fixture() {
   return f;
 }
 
-void BM_KernelPair_Legacy(benchmark::State& state) {
-  const KernelBenchFixture& f = kernel_fixture();
-  core::ScopedSerialFallback serial;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(peec::path_mutual_legacy(f.pa, f.pb, f.q));
-  }
-}
-BENCHMARK(BM_KernelPair_Legacy)->Unit(benchmark::kMicrosecond);
-
 void BM_KernelPair_Sampled(benchmark::State& state) {
   // Sampling included: what path_mutual() costs end to end.
   const KernelBenchFixture& f = kernel_fixture();
@@ -78,14 +68,6 @@ void BM_KernelSamplePathBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelSamplePathBuild)->Unit(benchmark::kMicrosecond);
-
-void BM_KernelPair_LegacyParallel(benchmark::State& state) {
-  const KernelBenchFixture& f = kernel_fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(peec::path_mutual_legacy(f.pa, f.pb, f.q));
-  }
-}
-BENCHMARK(BM_KernelPair_LegacyParallel)->Unit(benchmark::kMicrosecond);
 
 void BM_KernelPair_SampledParallel(benchmark::State& state) {
   const KernelBenchFixture& f = kernel_fixture();

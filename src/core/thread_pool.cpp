@@ -10,7 +10,10 @@ namespace emi::core {
 
 namespace {
 
-thread_local bool tls_on_worker = false;
+// True while the calling thread runs chunks of a batch: always on a pool
+// worker, and on a submitting thread while it works its own batch. Parallel
+// regions issued from such a thread run inline.
+thread_local bool tls_in_batch = false;
 thread_local int tls_serial_depth = 0;
 
 // Cumulative counters live outside the hot path's lock; relaxed ordering is
@@ -41,8 +44,6 @@ ThreadPool::~ThreadPool() {
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
-
-bool ThreadPool::on_worker_thread() { return tls_on_worker; }
 
 bool ThreadPool::try_pop(std::size_t lane, Chunk& out, bool& stolen) {
   // Caller holds mu_. Own deque first (front = submission order), then steal
@@ -83,7 +84,7 @@ void ThreadPool::execute(const Chunk& c) {
 }
 
 void ThreadPool::worker_main(std::size_t lane) {
-  tls_on_worker = true;
+  tls_in_batch = true;
   for (;;) {
     Chunk c{};
     bool stolen = false;
@@ -114,8 +115,8 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
   if (degraded) g_stats.serial_fallbacks.fetch_add(1, std::memory_order_relaxed);
   // Nested parallel regions (and trivial batches on a worker-less pool) run
   // inline: deadlock-free, no oversubscription, identical results.
-  if (tls_on_worker || workers_.empty() || n_chunks == 1 || degraded) {
-    if (tls_on_worker) g_stats.inline_batches.fetch_add(1, std::memory_order_relaxed);
+  if (tls_in_batch || workers_.empty() || n_chunks == 1 || degraded) {
+    if (tls_in_batch) g_stats.inline_batches.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < n_chunks; ++i) {
       fn(i);
       g_stats.chunks.fetch_add(1, std::memory_order_relaxed);
@@ -139,7 +140,11 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
   work_cv_.notify_all();
 
   // The submitting thread works the batch too (lane 0), then waits out the
-  // stragglers.
+  // stragglers. While it works, a region nested in one of its chunks runs
+  // inline like one on a worker; dealt as a new batch instead, its lane-0
+  // loop would pop this batch's remaining chunks and stack them on top of
+  // the running one. execute() never throws, so the flag is always reset.
+  tls_in_batch = true;
   for (;;) {
     Chunk c{};
     bool stolen = false;
@@ -150,6 +155,7 @@ void ThreadPool::run_chunks(std::size_t n_chunks,
     if (stolen) g_stats.steals.fetch_add(1, std::memory_order_relaxed);
     execute(c);
   }
+  tls_in_batch = false;
   std::exception_ptr error;
   {
     MutexLock lock(batch.mu);

@@ -11,9 +11,10 @@
 // Determinism contract: the pool never influences *what* is computed, only
 // *when*. Callers write results into pre-sized slots addressed by chunk or
 // item index, so any interleaving yields bit-identical output. Nested
-// batches (a parallel_for issued from inside a worker) run inline on the
-// issuing worker - this keeps the pool deadlock-free and bounds
-// oversubscription without any extra tuning.
+// batches (a parallel_for issued from inside a chunk, on a worker or on the
+// submitting thread) run inline on the issuing thread - this keeps the pool
+// deadlock-free, bounds oversubscription without any extra tuning, and
+// never stacks one chunk of a batch on top of another.
 #pragma once
 
 #include <condition_variable>
@@ -36,7 +37,7 @@ struct PoolStats {
   std::uint64_t batches = 0;        // run_chunks invocations served
   std::uint64_t chunks = 0;         // chunks executed in total
   std::uint64_t steals = 0;         // chunks taken from another lane's deque
-  std::uint64_t inline_batches = 0; // nested batches run inline on a worker
+  std::uint64_t inline_batches = 0; // nested batches run inline in a chunk
   std::uint64_t serial_fallbacks = 0; // batches degraded to serial execution
                                       // (ScopedSerialFallback or fault site
                                       // "pool"); results are unaffected by
@@ -55,16 +56,12 @@ class ThreadPool {
   std::size_t thread_count() const { return workers_.size(); }
 
   // Run fn(chunk) for every chunk in [0, n_chunks), blocking until all
-  // complete. Safe to call from a worker thread (runs inline, serially).
+  // complete. Safe to call from inside a chunk (runs inline, serially).
   // If chunks throw, the batch still drains before the lowest-index chunk's
   // exception is rethrown here - the one the serial loop would throw.
   void run_chunks(std::size_t n_chunks, const std::function<void(std::size_t)>& fn);
 
   PoolStats stats() const;
-
-  // True when the calling thread is one of this process's pool workers (any
-  // pool); used to serialize nested parallel regions.
-  static bool on_worker_thread();
 
   // --- global pool -------------------------------------------------------
   // The process-wide pool used by parallel_for/parallel_reduce. Sized to

@@ -150,24 +150,22 @@ std::uint64_t flow_context_digest(const BuckConverter& bc,
        << dbits(p.rot_deg) << ' ' << p.board << ' ' << (p.placed ? 1 : 0) << '\n';
   }
   ss << "quad " << opt.quadrature.order << ' ' << opt.quadrature.subdivisions << '\n';
-  // The retired kernel-gate and prescreen/coupling-placement options at
-  // their fixed former defaults (off, off, far-field ratio 8.0, off, off,
-  // w_coupling 50.0), kept so checkpoints written by older builds resume.
-  ss << "kern 0 0 4020000000000000 0 0 4049000000000000\n";
+  // The pair kernel: Gauss-Legendre outer samples with the inner line
+  // integral in closed form. Stage outputs of builds with the product-rule
+  // kernel differ within its quadrature error; resumed here they would give
+  // a result neither build produces uninterrupted, so their checkpoints are
+  // refused.
+  ss << "kern analytic-inner\n";
   ss << "sweep " << dbits(opt.sweep.f_min_hz) << ' ' << dbits(opt.sweep.f_max_hz)
      << ' ' << opt.sweep.n_points << '\n';
   // Sweep acceleration changes computed spectra (interpolated / coupling-
   // model-filled points), so its configuration joins the context - but only
-  // when it is enabled, keeping every pre-acceleration checkpoint digest
-  // (and the default-options digest) byte-identical.
+  // when it is enabled, keeping the default-options digest free of it.
   if (opt.sweep_accel.enabled()) {
-    // "8 4" are the retired max_order / holdout_points defaults of the
-    // deleted barycentric engine, kept so accelerated checkpoints written by
-    // older builds still resume.
     ss << "swp " << (opt.sweep_accel.adaptive ? 1 : 0) << ' '
        << dbits(opt.sweep_accel.tol_db) << ' ' << opt.sweep_accel.coarse_points << ' '
        << (opt.sweep_accel.surrogate ? 1 : 0) << ' ' << dbits(opt.sweep_accel.gate_db)
-       << " 8 4\n";
+       << '\n';
   }
   ss << "thr " << dbits(opt.sensitivity_threshold_db) << ' ' << dbits(opt.k_threshold)
      << ' ' << dbits(opt.k_min) << ' ' << opt.cispr_class << ' ' << opt.stage_attempts

@@ -377,8 +377,9 @@ FlowResult FlowEngine::finish() {
   res_.profile.add_count("peec.mutual_cache_hits", c0.mutual_hits + c1.mutual_hits);
   res_.profile.add_count("peec.mutual_cache_misses",
                          c0.mutual_misses + c1.mutual_misses);
-  // Kernel work done by this run: integrand evaluations and integrated
-  // segment pairs (process-wide counters, reported as deltas).
+  // Kernel work done by this run: closed-form inner integrals (one per
+  // outer sample and segment pair) and integrated segment pairs
+  // (process-wide counters, reported as deltas).
   const peec::KernelStats kern1 = peec::kernel_stats();
   res_.profile.add_count("peec.kernel_sample_evals",
                          kern1.sample_evals - kern0_.sample_evals);

@@ -7,49 +7,40 @@
 
 namespace emi::peec {
 
-SegmentPath with_ground_plane(const SegmentPath& path, double plane_z) {
+namespace {
+
+// The opposite-current image of `path`: endpoints reflected, weight negated.
+SegmentPath image_of(const SegmentPath& path, double plane_z) {
   SegmentPath out;
-  out.segments.reserve(path.segments.size() * 2);
+  out.segments.reserve(path.segments.size());
   for (const Segment& s : path.segments) {
     if (s.a.z < plane_z - 1e-9 || s.b.z < plane_z - 1e-9) {
       throw std::invalid_argument(
           "with_ground_plane: conductor below the ground plane");
     }
-    out.segments.push_back(s);
-  }
-  for (const Segment& s : path.segments) {
     out.segments.push_back(
         {mirror_point(s.a, plane_z), mirror_point(s.b, plane_z), s.radius, -s.weight});
   }
   return out;
 }
 
+}  // namespace
+
+SegmentPath with_ground_plane(const SegmentPath& path, double plane_z) {
+  SegmentPath out = image_of(path, plane_z);
+  out.segments.insert(out.segments.begin(), path.segments.begin(), path.segments.end());
+  return out;
+}
+
 Henry GroundedCouplingExtractor::self_inductance(const ComponentFieldModel& m) const {
   // Note: unlike the free-space extractor this is not cached; grounded
   // extraction is used for rule studies, not inner loops.
-  const SegmentPath mirrored = with_ground_plane(m.local_path, plane_z_);
-  // The image current's flux linkage with the real conductor is captured by
-  // the cross terms of the doubled path; halve nothing - path_inductance of
-  // real+image with +/- weights already gives the loop-above-plane L, but
-  // the energy belongs to the real half only, so take the real/real plus
-  // real/image terms: L = L_rr + L_ri. Using the full double sum would also
-  // add the image/image self energy. Compute explicitly:
-  const auto& real = m.local_path.segments;
-  double l = 0.0;
-  for (std::size_t i = 0; i < real.size(); ++i) {
-    l += real[i].weight * real[i].weight * peec::self_inductance(real[i]);
-    for (std::size_t j = i + 1; j < real.size(); ++j) {
-      l += 2.0 * real[i].weight * real[j].weight *
-           mutual_neumann(real[i], real[j], opt_);
-    }
-  }
-  for (const Segment& r : real) {
-    for (const Segment& s : real) {
-      const Segment img{mirror_point(s.a, plane_z_), mirror_point(s.b, plane_z_),
-                        s.radius, -s.weight};
-      l += r.weight * img.weight * mutual_neumann(r, img, opt_);
-    }
-  }
+  // The energy belongs to the real conductor only: L = L_rr + L_ri, the
+  // real path's own loop inductance plus its mutual with the image. The
+  // full double sum over real+image would also add the image/image self
+  // energy.
+  const double l = path_inductance(m.local_path, opt_) +
+                   path_mutual(m.local_path, image_of(m.local_path, plane_z_), opt_);
   return Henry{m.mu_eff * l};
 }
 

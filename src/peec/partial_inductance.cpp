@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/core/parallel.hpp"
-#include "src/numeric/quadrature.hpp"
 #include "src/peec/sampled_path.hpp"
 
 namespace emi::peec {
@@ -91,47 +90,6 @@ double mutual_parallel_offset(double l1_mm, double l2_mm, double lateral_mm,
   return kMu0 / (4.0 * geom::kPi) * integral_mm * kMmToM;
 }
 
-double mutual_neumann(const Segment& s1, const Segment& s2, const QuadratureOptions& opt) {
-  const double l1 = s1.length();
-  const double l2 = s2.length();
-  if (l1 <= 0.0 || l2 <= 0.0) return 0.0;
-
-  const Vec3 d1 = s1.direction();
-  const Vec3 d2 = s2.direction();
-  const double dot = d1.dot(d2);
-  // Orthogonal current elements do not couple; skip the integral entirely.
-  if (std::fabs(dot) < 1e-12) return 0.0;
-
-  const double guard = std::max(1e-6, std::sqrt(s1.radius * s2.radius));
-  const std::size_t sub = std::max<std::size_t>(1, opt.subdivisions);
-
-  double integral_mm = 0.0;  // integral of dl1.dl2/|r| with lengths in mm
-  for (std::size_t i = 0; i < sub; ++i) {
-    const double a1 = l1 * static_cast<double>(i) / static_cast<double>(sub);
-    const double b1 = l1 * static_cast<double>(i + 1) / static_cast<double>(sub);
-    for (std::size_t j = 0; j < sub; ++j) {
-      const double a2 = l2 * static_cast<double>(j) / static_cast<double>(sub);
-      const double b2 = l2 * static_cast<double>(j + 1) / static_cast<double>(sub);
-      integral_mm += num::gauss_legendre(
-          [&](double t1) {
-            const Vec3 p1 = s1.a + d1 * t1;
-            return num::gauss_legendre(
-                [&](double t2) {
-                  const Vec3 p2 = s2.a + d2 * t2;
-                  const double r = std::max((p1 - p2).norm(), guard);
-                  return 1.0 / r;
-                },
-                a2, b2, opt.order);
-          },
-          a1, b1, opt.order);
-    }
-  }
-  detail::tally_exact_pair(sub * sub * opt.order * opt.order);
-  // dl1.dl2 = dot * dt1 * dt2; convert the mm-valued integral (mm^2/mm = mm)
-  // to metres.
-  return kMu0 / (4.0 * geom::kPi) * dot * integral_mm * kMmToM;
-}
-
 double self_inductance(const Segment& s) {
   return self_inductance_wire(s.length(), s.radius);
 }
@@ -161,25 +119,6 @@ double path_mutual(const SegmentPath& p1, const SegmentPath& p2,
   const SampledPath a = sample_path(p1, opt);
   const SampledPath b = sample_path(p2, opt);
   return path_mutual_sampled(a, b);
-}
-
-double path_mutual_legacy(const SegmentPath& p1, const SegmentPath& p2,
-                          const QuadratureOptions& opt) {
-  const auto& s1 = p1.segments;
-  const auto& s2 = p2.segments;
-  const auto row = [&](std::size_t i) {
-    double r = 0.0;
-    for (const Segment& b : s2) {
-      r += s1[i].weight * b.weight * mutual_neumann(s1[i], b, opt);
-    }
-    return r;
-  };
-  if (s1.size() * s2.size() >= kParallelPairThreshold) {
-    return core::parallel_sum(0, s1.size(), row);
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < s1.size(); ++i) total += row(i);
-  return total;
 }
 
 QuadratureOptions coarse_quadrature(const QuadratureOptions& q) {

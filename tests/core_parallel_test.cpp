@@ -96,6 +96,33 @@ TEST(ParallelFor, NestedRegionsRunInlineWithoutDeadlock) {
   for (std::size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i].load(), 1);
 }
 
+// A nested region issued from an outer chunk that the *submitting* thread
+// runs must run inline too. Dealt as a new batch, its lane-0 loop would pop
+// the outer batch's remaining chunks and run them on top of the current one,
+// one stack level per outer chunk.
+TEST(ThreadPool, SubmitterNeverStacksOuterChunks) {
+  ThreadCountGuard guard;
+  for (const std::size_t lanes : {2u, 4u}) {
+    ThreadPool::set_global_thread_count(lanes);
+    static thread_local int depth = 0;
+    std::atomic<int> max_depth{0};
+    std::vector<std::atomic<int>> visits(64 * 16);
+    parallel_for(
+        0, 64,
+        [&](std::size_t i) {
+          const int d = ++depth;
+          int seen = max_depth.load();
+          while (d > seen && !max_depth.compare_exchange_weak(seen, d)) {
+          }
+          parallel_for(0, 16, [&](std::size_t j) { visits[i * 16 + j].fetch_add(1); }, 1);
+          --depth;
+        },
+        1);
+    EXPECT_EQ(max_depth.load(), 1) << lanes << " lanes";
+    for (std::size_t k = 0; k < visits.size(); ++k) EXPECT_EQ(visits[k].load(), 1) << k;
+  }
+}
+
 TEST(ThreadPool, StatsCountBatchesAndChunks) {
   ThreadCountGuard guard;
   ThreadPool::set_global_thread_count(2);

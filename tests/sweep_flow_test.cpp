@@ -149,12 +149,43 @@ TEST(SweepFlow, DigestChangesIffSweepOptionsChange) {
   gated.sweep_accel.gate_db = 1.0;
   EXPECT_NE(d2, flow_context_digest(bc, layout, gated));
 
-  // Accelerated checkpoints written by older builds must keep resuming. The
-  // digest hashes only option text and double bit patterns, so it is
-  // platform-stable; the literal is what builds that still had the
-  // barycentric engine computed for `emiplace flow buck --points 60
-  // --adaptive`.
-  EXPECT_EQ(flow_context_digest(bc, layout, accel_options(60)), 0x661ba66f1d3d7b21ull);
+  // The digest hashes only option text and double bit patterns, so it is
+  // platform-stable: pinned for `emiplace flow buck --points 60 --adaptive`
+  // on the analytic-inner pair kernel. It moves only when a change makes
+  // older checkpoints unsafe to resume.
+  EXPECT_EQ(flow_context_digest(bc, layout, accel_options(60)), 0xb11364cbc7d19e38ull);
+}
+
+// What builds with the product-rule pair kernel computed as the context of
+// `emiplace flow buck --points 60 --adaptive`. Their stage outputs differ
+// within that kernel's quadrature error, so a resume must refuse them rather
+// than blend them with this kernel's stages.
+constexpr std::uint64_t kProductRuleKernelDigest = 0x661ba66f1d3d7b21ull;
+
+TEST(SweepFlow, ProductRuleKernelCheckpointIsRefused) {
+  const std::string ckpt = temp_ckpt("product_rule.ckpt");
+  std::remove(ckpt.c_str());
+  FlowOptions opt = accel_options(60);
+  opt.checkpoint_path = ckpt;
+  opt.stop_after_stage = "rule_derivation";
+  BuckConverter bc1 = make_buck_converter();
+  run_design_flow(bc1, layout_unfavorable(bc1), opt);
+  core::Result<FlowCheckpoint> ck = load_checkpoint_file(ckpt);
+  ASSERT_TRUE(ck.ok());
+  FlowCheckpoint old = ck.value();
+  ASSERT_NE(old.context_digest, kProductRuleKernelDigest);
+  old.context_digest = kProductRuleKernelDigest;
+  ASSERT_TRUE(save_checkpoint_file(ckpt, old).ok());
+
+  FlowOptions resume_opt = accel_options(60);
+  resume_opt.checkpoint_path = ckpt;
+  BuckConverter bc2 = make_buck_converter();
+  const FlowResult res = resume_design_flow(bc2, layout_unfavorable(bc2), resume_opt);
+  EXPECT_FALSE(res.complete);
+  ASSERT_EQ(res.diagnostics.size(), 1u);
+  EXPECT_EQ(res.diagnostics[0].stage, "flow.checkpoint");
+  EXPECT_EQ(res.diagnostics[0].status.code(), core::ErrorCode::kFailedPrecondition);
+  std::remove(ckpt.c_str());
 }
 
 // The headline acceptance on the buck golden: the accelerated flow performs
